@@ -1,9 +1,10 @@
 """Hierarchy-coherent decoding and per-level segmentation metrics.
 
 Decoding assigns each pixel the root-to-leaf path with the highest score
-sum, computed in a single bottom-up pass; ties resolve to the smallest
-leaf id. Evaluation merges predictions into each hierarchy level and
-reports per-class IoU plus the level mean.
+sum, computed in a single bottom-up pass over the hierarchy's per-depth
+sibling tables, a block of ``coherence.BLOCK_ELEMS // |V|`` rows at a time;
+ties resolve to the smallest leaf id. Evaluation merges predictions into
+each hierarchy level and reports per-class IoU plus the level mean.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coherence import row_blocks
 from .fields import IGNORE, LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
@@ -23,39 +25,27 @@ class LevelScore:
     miou: float
 
 
-def _bottom_up_order(h: ClassHierarchy) -> list[int]:
-    # Children before parents: sort by decreasing depth (chain length).
-    return sorted(range(len(h)), key=lambda v: -len(h.ancestor_chain(v)))
-
-
 def decode_batch(h: ClassHierarchy, s: np.ndarray) -> np.ndarray:
     """Vectorized best-path decode for N score vectors; returns leaf ids.
 
-    Per node the best suffix sum and its leaf are kept; equal sums keep the
-    smaller leaf id. Accumulation runs leaf-to-root so float results match
-    per-path sequential summation exactly.
+    Per node the best suffix sum and its leaf are kept, reduced
+    lexicographically: highest sum first, then smallest leaf id.
+    Accumulation runs leaf-to-root so float results match per-path
+    sequential summation exactly.
     """
     s = np.asarray(s, dtype=np.float64)
-    n = s.shape[0]
-    best_sum = np.empty((len(h), n))
-    best_leaf = np.empty((len(h), n), dtype=np.int64)
-    for v in _bottom_up_order(h):
-        kids = h.children[v]
-        if not kids:
-            best_sum[v] = s[:, v]
-            best_leaf[v] = v
-            continue
-        cur_sum = np.full(n, -np.inf)
-        cur_leaf = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        for c in kids:
-            take = (best_sum[c] > cur_sum) | (
-                (best_sum[c] == cur_sum) & (best_leaf[c] < cur_leaf)
-            )
-            cur_sum = np.where(take, best_sum[c], cur_sum)
-            cur_leaf = np.where(take, best_leaf[c], cur_leaf)
-        best_sum[v] = cur_sum + s[:, v]
-        best_leaf[v] = cur_leaf
-    return best_leaf[h.root]
+    out = np.empty(s.shape[0], dtype=np.int64)
+    for rows in row_blocks(h, s.shape[0]):
+        best = s[rows].T.copy()
+        leaf = np.broadcast_to(np.arange(len(h))[:, None], best.shape).copy()
+        for kids, starts, parents, group in h.bottom_up:
+            sub = best[kids]
+            top = np.maximum.reduceat(sub, starts, axis=0)
+            tied = np.where(sub == top[group], leaf[kids], len(h))
+            leaf[parents] = np.minimum.reduceat(tied, starts, axis=0)
+            best[parents] += top
+        out[rows] = leaf[h.root]
+    return out
 
 
 def decode_path(h: ClassHierarchy, s: np.ndarray) -> int:

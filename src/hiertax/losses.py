@@ -4,6 +4,12 @@ All losses report both the scalar value and the gradient with respect to
 their score input. Scores are clipped to [epsilon, 1 - epsilon] before any
 logarithm so values stay finite at exact 0/1 predictions; gradients are
 evaluated at the clipped scores.
+
+``batch_loss`` works through blocks of ``coherence.BLOCK_ELEMS // |V|``
+rows; per-row values are summed over C-contiguous (rows, |V|) blocks, so
+its output does not depend on N or on the blocking. The tree-min losses
+route each node's gradient to the node whose score propagation copied,
+ties to the smallest node id.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import propagate, propagate_batch_winners, propagate_grad
+from .coherence import propagate, propagate_batch_winners, propagate_grad, row_blocks
 from .fields import IGNORE, LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
@@ -161,30 +167,34 @@ def batch_loss(
     bit-identical however the rows were produced.
     """
     cfg = cfg or FocalConfig()
+    if which not in FIELD_LOSSES:
+        raise ValueError(f"unknown field loss {which!r}; expected one of {FIELD_LOSSES}")
     s = np.asarray(s, dtype=np.float64)
-    n = s.shape[0]
-    chain = np.zeros((len(h), len(h)), dtype=np.int8)
-    for leaf in h.leaves:
-        chain[leaf, list(h.ancestors(leaf))] = 1
-    labels = chain[leaf_ids]
-
-    if which == "bce":
-        values, dvdp = _bce_terms(s, labels, cfg.epsilon)
-        return values.sum(axis=1), dvdp
-    if which == "focal":
-        values, dvdp = _focal_terms(s, labels, cfg)
-        return values.sum(axis=1), dvdp
-    if which in ("tm", "ftm"):
-        p, winners, pos = propagate_batch_winners(h, s, leaf_ids)
-        if which == "tm":
-            values, dvdp = _bce_terms(p, pos, cfg.epsilon)
+    leaf_ids = np.asarray(leaf_ids)
+    n, width = s.shape
+    values = np.empty(n)
+    grad = np.empty(s.shape)
+    for rows in row_blocks(h, n):
+        if which in ("bce", "focal"):
+            p, labels = s[rows], h.leaf_chain_mask[leaf_ids[rows]]
         else:
-            values, dvdp = _focal_terms(p, pos, cfg)
-        grad = np.zeros_like(s)
-        rows = np.repeat(np.arange(n), len(h))
-        np.add.at(grad, (rows, winners.ravel()), dvdp.ravel())
-        return values.sum(axis=1), grad
-    raise ValueError(f"unknown field loss {which!r}; expected one of {FIELD_LOSSES}")
+            p, winners, labels = propagate_batch_winners(h, s[rows], leaf_ids[rows])
+        if which in ("bce", "tm"):
+            terms, dvdp = _bce_terms(p, labels, cfg.epsilon)
+        else:
+            terms, dvdp = _focal_terms(p, labels, cfg)
+        values[rows] = terms.sum(axis=1)
+        if which in ("bce", "focal"):
+            grad[rows] = dvdp
+        else:
+            # bincount adds each cell's contributions in ascending node
+            # order, starting from 0, exactly as a sequential scatter does.
+            b = p.shape[0]
+            cells = winners + width * np.arange(b)[:, None]
+            grad[rows] = np.bincount(
+                cells.ravel(), weights=dvdp.ravel(), minlength=b * width
+            ).reshape(b, width)
+    return values, grad
 
 
 def field_loss(

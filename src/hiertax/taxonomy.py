@@ -92,6 +92,29 @@ class ClassHierarchy:
     def _descendant_sets(self) -> tuple[frozenset[int], ...]:
         return object.__getattribute__(self, "_descendant_cache")
 
+    @property
+    def top_down(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per depth 1, 2, ...: (nodes at that depth, their parents)."""
+        return object.__getattribute__(self, "_top_down_cache")
+
+    @property
+    def bottom_up(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per depth, deepest first: (kids, starts, parents, group).
+
+        ``kids`` are the nodes at that depth sorted by parent, ``starts``
+        the ``reduceat`` offset of each parent's run of kids, ``parents``
+        the parent of each run and ``group`` the run index of each kid.
+        """
+        return object.__getattribute__(self, "_bottom_up_cache")
+
+    @property
+    def leaf_chain_mask(self) -> np.ndarray:
+        """|V| x |V| bool; row ``leaf`` marks the leaf's ancestor chain.
+
+        Rows of internal nodes are all False.
+        """
+        return object.__getattribute__(self, "_chain_mask_cache")
+
 
 def _finalize(h: ClassHierarchy) -> ClassHierarchy:
     # Precompute ancestor chains and descendant sets once; the dataclass is
@@ -109,7 +132,36 @@ def _finalize(h: ClassHierarchy) -> ClassHierarchy:
     object.__setattr__(h, "_chains_cache", tuple(chains))
     object.__setattr__(h, "_ancestor_cache", tuple(frozenset(c) for c in chains))
     object.__setattr__(h, "_descendant_cache", tuple(frozenset(d) for d in desc))
+
+    # Tables for the array kernels: nodes per depth with their parents, and
+    # per depth the kids grouped by parent for np.<ufunc>.reduceat.
+    n = len(h.nodes)
+    depth = np.array([len(c) - 1 for c in chains], dtype=np.int64)
+    parent = np.array(h.parent, dtype=np.int64)
+    top_down = []
+    bottom_up = []
+    for d in range(1, int(depth.max()) + 1):
+        nodes = np.flatnonzero(depth == d)
+        top_down.append(_frozen(nodes, parent[nodes]))
+        kids = nodes[np.argsort(parent[nodes], kind="stable")]
+        first = np.ones(kids.size, dtype=bool)
+        first[1:] = parent[kids[1:]] != parent[kids[:-1]]
+        starts = np.flatnonzero(first)
+        bottom_up.append(_frozen(kids, starts, parent[kids[starts]], np.cumsum(first) - 1))
+    chain_mask = np.eye(n, dtype=bool)
+    for nodes, parents in top_down:
+        chain_mask[nodes] |= chain_mask[parents]
+    chain_mask[[v for v in range(n) if h.children[v]]] = False
+    object.__setattr__(h, "_top_down_cache", tuple(top_down))
+    object.__setattr__(h, "_bottom_up_cache", tuple(reversed(bottom_up)))
+    object.__setattr__(h, "_chain_mask_cache", _frozen(chain_mask)[0])
     return h
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:

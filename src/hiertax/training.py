@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .coherence import row_blocks, tree_extrema
 from .embedding import (
     DEFAULT_MARGIN_BASE,
     DEFAULT_TRIPLET_COUNT,
@@ -100,16 +101,18 @@ class TrainReport:
 def coherence_violation_rate(
     h: ClassHierarchy, s: np.ndarray, threshold: float = 0.5
 ) -> float:
-    """Fraction of score rows with at least one hierarchy-constraint violation."""
+    """Fraction of score rows with at least one hierarchy-constraint violation.
+
+    A node above the threshold violates when some ancestor scores lower; a
+    node at or below it, when some descendant scores higher.
+    """
     s = np.asarray(s, dtype=np.float64)
     viol = np.zeros(s.shape[0], dtype=bool)
-    for v in range(len(h)):
-        anc = sorted(h.ancestors(v) - {v})
-        if anc:
-            viol |= (s[:, v] > threshold) & (s[:, anc].min(axis=1) < s[:, v])
-        dec = sorted(h.descendants(v) - {v})
-        if dec:
-            viol |= (s[:, v] <= threshold) & (s[:, dec].max(axis=1) > s[:, v])
+    for rows in row_blocks(h, s.shape[0]):
+        amin, dmax = tree_extrema(h, s[rows])
+        st = s[rows].T
+        above = st > threshold
+        viol[rows] = ((above & (amin < st)) | (~above & (dmax > st))).any(axis=0)
     return float(viol.mean()) if s.shape[0] else 0.0
 
 
@@ -119,18 +122,25 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _cce_step(h: ClassHierarchy, logits: np.ndarray, leaf_ids: np.ndarray, eps: float):
-    leaves = np.array(h.leaves, dtype=np.int64)
-    pos_of = {int(v): i for i, v in enumerate(leaves)}
-    targets = np.array([pos_of[int(v)] for v in leaf_ids], dtype=np.int64)
+def _cce_step(logits: np.ndarray, leaves: np.ndarray, targets: np.ndarray, eps: float):
+    """Softmax cross-entropy over the leaf logits; ``targets`` index ``leaves``."""
     y = _softmax(logits[:, leaves])
     n = logits.shape[0]
     value = float(-np.log(np.clip(y[np.arange(n), targets], eps, None)).mean())
-    d = y.copy()
-    d[np.arange(n), targets] -= 1.0
+    y[np.arange(n), targets] -= 1.0
     grad = np.zeros_like(logits)
-    grad[:, leaves] = d / n
+    grad[:, leaves] = y / n
     return value, grad
+
+
+def _leaf_positions(h: ClassHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
+    """Index of each label in ``h.leaves``; rejects non-leaf ids."""
+    pos_of = np.full(len(h), -1, dtype=np.int64)
+    pos_of[list(h.leaves)] = np.arange(len(h.leaves))
+    targets = pos_of[leaf_ids]
+    if (targets < 0).any():
+        raise ValueError("labels must be leaf node ids")
+    return targets
 
 
 def train(
@@ -152,6 +162,9 @@ def train(
     vel_w = np.zeros_like(scorer.weight)
     vel_b = np.zeros_like(scorer.bias)
     focal = FocalConfig(gamma=cfg.gamma)
+    leaves = np.array(h.leaves, dtype=np.int64)
+    if cfg.loss == "cce":
+        targets = _leaf_positions(h, leaf_ids)
 
     proj = None
     proj_vel = None
@@ -169,7 +182,7 @@ def train(
     for step in range(cfg.iterations):
         logits = scorer.logits(x)
         if cfg.loss == "cce":
-            value, dlogits = _cce_step(h, logits, leaf_ids, focal.epsilon)
+            value, dlogits = _cce_step(logits, leaves, targets, focal.epsilon)
         else:
             s = 1.0 / (1.0 + np.exp(-logits))
             values, dvds = batch_loss(h, s, leaf_ids, cfg.loss, focal)
@@ -201,7 +214,6 @@ def train(
     logits = scorer.logits(flat_eval)
     s_eval = 1.0 / (1.0 + np.exp(-logits))
     if cfg.loss == "cce":
-        leaves = np.array(h.leaves, dtype=np.int64)
         pred_flat = leaves[logits[:, leaves].argmax(axis=1)]
     else:
         pred_flat = decode_batch(h, s_eval)

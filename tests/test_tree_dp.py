@@ -1,0 +1,206 @@
+"""Property tests: the row-blocked tree-DP kernels against brute force.
+
+Random recursive trees with quantised scores, so that ties between nodes
+are common; every tie must resolve to the smallest node (or leaf) id.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hiertax.coherence import (
+    BLOCK_ELEMS,
+    expand_labels,
+    propagate_batch,
+    propagate_batch_winners,
+    tree_extrema,
+)
+from hiertax.evaluation import decode_batch
+from hiertax.gradcheck import random_hierarchy
+from hiertax.losses import batch_loss, focal_tree_min_loss, tree_min_loss
+from hiertax.training import coherence_violation_rate
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _case(seed: int, n_nodes: int, n_rows: int, levels: int = 4):
+    rng = np.random.default_rng(seed)
+    h = random_hierarchy(rng, n_nodes)
+    s = rng.integers(0, levels + 1, size=(n_rows, n_nodes)) / levels
+    leaf_ids = rng.choice(np.array(h.leaves, dtype=np.int64), size=n_rows)
+    return h, s, leaf_ids
+
+
+def _block_rows(h) -> int:
+    return max(1, BLOCK_ELEMS // len(h))
+
+
+def brute_extrema(h, s):
+    """Per node: min over ancestors and max over descendants, row-major, with
+    the first (smallest-id) arg-min / arg-max of each sorted group."""
+    n, v = s.shape
+    amin, dmax = np.empty((n, v)), np.empty((n, v))
+    amin_w, dmax_w = np.empty((n, v), dtype=np.int64), np.empty((n, v), dtype=np.int64)
+    for node in range(v):
+        anc = np.array(sorted(h.ancestors(node)))
+        dec = np.array(sorted(h.descendants(node)))
+        amin[:, node] = s[:, anc].min(axis=1)
+        dmax[:, node] = s[:, dec].max(axis=1)
+        amin_w[:, node] = anc[s[:, anc].argmin(axis=1)]
+        dmax_w[:, node] = dec[s[:, dec].argmax(axis=1)]
+    return amin, dmax, amin_w, dmax_w
+
+
+def brute_decode(h, s):
+    """Exhaustive path enumeration, summed leaf first, ties to the smallest leaf."""
+    out = []
+    for row in s:
+        best, best_leaf = -np.inf, None
+        for path in h.root_to_leaf_paths():
+            total = 0.0
+            for u in path:
+                total += row[u]
+            if total > best:
+                best, best_leaf = total, path[0]
+        out.append(best_leaf)
+    return np.array(out, dtype=np.int64)
+
+
+def brute_violation_rate(h, s, threshold=0.5):
+    viol = np.zeros(s.shape[0], dtype=bool)
+    for v in range(len(h)):
+        for u in h.ancestors(v) - {v}:
+            viol |= (s[:, v] > threshold) & (s[:, u] < s[:, v])
+        for u in h.descendants(v) - {v}:
+            viol |= (s[:, v] <= threshold) & (s[:, u] > s[:, v])
+    return float(viol.mean())
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30), n_rows=st.integers(1, 40))
+def test_extrema_and_winners_match_brute_force(seed, n_nodes, n_rows):
+    h, s, leaf_ids = _case(seed, n_nodes, n_rows)
+    amin, dmax, amin_w, dmax_w = brute_extrema(h, s)
+    got = tree_extrema(h, s, winners=True)
+    for want, have in zip((amin, dmax, amin_w, dmax_w), got):
+        np.testing.assert_array_equal(have.T, want)
+    plain = tree_extrema(h, s)
+    np.testing.assert_array_equal(plain[0], got[0])
+    np.testing.assert_array_equal(plain[1], got[1])
+
+    pos = np.array([expand_labels(h, int(leaf)) for leaf in leaf_ids], dtype=bool)
+    p, winners, mask = propagate_batch_winners(h, s, leaf_ids)
+    np.testing.assert_array_equal(mask, pos)
+    np.testing.assert_array_equal(p, np.where(pos, amin, dmax))
+    np.testing.assert_array_equal(winners, np.where(pos, amin_w, dmax_w))
+    np.testing.assert_array_equal(propagate_batch(h, s, leaf_ids), p)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 20), n_rows=st.integers(1, 12))
+def test_tree_min_batch_loss_matches_scalar_losses(seed, n_nodes, n_rows):
+    h, s, leaf_ids = _case(seed, n_nodes, n_rows)
+    for which, scalar in (("tm", tree_min_loss), ("ftm", focal_tree_min_loss)):
+        values, grad = batch_loss(h, s, leaf_ids, which)
+        for r, leaf in enumerate(leaf_ids):
+            rep = scalar(h, s[r], expand_labels(h, int(leaf)))
+            assert values[r] == rep.value
+            np.testing.assert_array_equal(grad[r], rep.grad)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 20), n_rows=st.integers(1, 30))
+def test_decode_batch_matches_path_enumeration(seed, n_nodes, n_rows):
+    h, s, _ = _case(seed, n_nodes, n_rows, levels=3)
+    np.testing.assert_array_equal(decode_batch(h, s), brute_decode(h, s))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 20), n_rows=st.integers(1, 40))
+def test_violation_rate_matches_brute_force(seed, n_nodes, n_rows):
+    h, s, _ = _case(seed, n_nodes, n_rows)
+    for threshold in (0.25, 0.5):
+        assert coherence_violation_rate(h, s, threshold) == brute_violation_rate(h, s, threshold)
+
+
+def _all_outputs(h, s, leaf_ids):
+    out = {
+        "propagate": propagate_batch(h, s, leaf_ids),
+        "winners": propagate_batch_winners(h, s, leaf_ids)[1],
+        "decode": decode_batch(h, s),
+    }
+    for which in ("bce", "focal", "tm", "ftm"):
+        out[which], out[which + "_grad"] = batch_loss(h, s, leaf_ids, which)
+    return out
+
+
+@pytest.mark.parametrize("n_nodes", [7, 29])
+def test_results_do_not_depend_on_blocking(n_nodes):
+    """N = 1 and N = block rows - 1, + 0, + 1, against splits at other offsets."""
+    rows = _block_rows(_case(n_nodes, n_nodes, 1)[0])
+    for n_rows in (1, rows - 1, rows, rows + 1):
+        h, s, leaf_ids = _case(n_nodes, n_nodes, n_rows)
+        whole = _all_outputs(h, s, leaf_ids)
+        cut = min(3, n_rows)
+        parts = [_all_outputs(h, s[a:b], leaf_ids[a:b]) for a, b in ((0, cut), (cut, n_rows))]
+        for key, value in whole.items():
+            joined = np.concatenate([part[key] for part in parts])
+            np.testing.assert_array_equal(value, joined, err_msg=f"{key} at N={n_rows}")
+        assert coherence_violation_rate(h, s) == brute_violation_rate(h, s)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2])
+def test_callers_scores_are_never_modified(n_rows):
+    """A one-row block transposes to a view of the caller's array; the
+    kernels must write only to their own copy."""
+    h, s, leaf_ids = _case(5, 9, n_rows)
+    before = s.copy()
+    tree_extrema(h, s, winners=True)
+    _all_outputs(h, s, leaf_ids)
+    coherence_violation_rate(h, s)
+    np.testing.assert_array_equal(s, before)
+
+
+PEAK_RSS_CODE = """\
+import json, resource, sys
+import numpy as np
+import hiertax
+from hiertax.losses import batch_loss
+h = hiertax.load_taxonomy(sys.argv[1])
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rng = np.random.default_rng(0)
+s = rng.random((int(sys.argv[2]), len(h)))
+leaf_ids = rng.choice(np.array(h.leaves), size=s.shape[0])
+values, grad = batch_loss(h, s, leaf_ids, "ftm")
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"base_kb": base, "peak_kb": peak,
+                  "io_bytes": s.nbytes + leaf_ids.nbytes + values.nbytes + grad.nbytes}))
+"""
+
+# Room above inputs plus outputs for the row-block temporaries and the
+# allocator; a whole-array pass over (100k, 145) float64 needs 116 MB per
+# temporary.
+RSS_MARGIN_MB = 48
+
+
+def test_batch_loss_peak_rss_is_inputs_plus_outputs():
+    tax = os.path.join(SRC, "hiertax", "data", "mapillary_vistas.tax")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CODE, tax, "100000"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    grown_mb = (got["peak_kb"] - got["base_kb"]) / 1024
+    io_mb = got["io_bytes"] / 2**20
+    assert grown_mb <= io_mb + RSS_MARGIN_MB, (grown_mb, io_mb)
