@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import sys
 
@@ -22,7 +23,8 @@ from .fields import (
     write_label_field,
     write_score_field,
 )
-from .gradcheck import GRADCHECK_LOSSES, gradcheck_loss
+from .gradcheck import gradcheck_loss
+from .losses import LOSSES
 from .report import load_run_json, run_artifacts, write_report_files, write_run_json
 from .synthetic import SyntheticConfig
 from .taxonomy import TaxonomyError, load_taxonomy
@@ -49,6 +51,25 @@ def _read_config_file(path: str | None) -> dict[str, str]:
             key, value = line.split("=", 1)
             out[key.strip().replace("-", "_")] = value.strip()
     return out
+
+
+def _config_value(ctx: click.Context, param: click.Parameter, raw: str):
+    """Convert one config value with its flag's type; booleans take only
+    1/0/true/false/yes/no, in any case."""
+    if isinstance(param.type, click.types.BoolParamType):
+        word = raw.lower()
+        if word not in ("1", "0", "true", "false", "yes", "no"):
+            raise click.ClickException(
+                f"config key {param.name}: expected 1/0/true/false/yes/no, got {raw!r}"
+            )
+        return word in ("1", "true", "yes")
+    return param.type.convert(raw, param, ctx)
+
+
+def _fields_of(cls, values: dict) -> dict:
+    """The entries of ``values`` that name a field of dataclass ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in values.items() if k in names}
 
 
 @click.group()
@@ -117,7 +138,7 @@ def eval_cmd(tax, pred, gt, csv_path):
 
 
 @cli.command("gradcheck")
-@click.option("--loss", required=True, type=click.Choice(GRADCHECK_LOSSES))
+@click.option("--loss", required=True, type=click.Choice(LOSSES))
 @click.option("--trials", default=100, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--tolerance", default=1e-4, show_default=True)
@@ -135,7 +156,7 @@ def gradcheck_cmd(loss, trials, seed, tolerance):
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--iterations", type=int)
 @click.option("--lr", type=float)
-@click.option("--loss", type=click.Choice(("cce", "bce", "focal", "tm", "ftm")))
+@click.option("--loss", type=click.Choice(LOSSES))
 @click.option("--use-triplet/--no-triplet", default=None)
 @click.option("--triplet-count", type=int)
 @click.option("--gamma", type=float)
@@ -147,40 +168,23 @@ def gradcheck_cmd(loss, trials, seed, tolerance):
 @click.option("--pixels-per-class", type=int)
 @click.option("--noise-sigma", type=float)
 @click.option("--center-scale", type=float)
-def train_toy_cmd(tax, out_dir, config_path, **flags):
+@click.pass_context
+def train_toy_cmd(ctx, tax, out_dir, config_path, **flags):
     """Train the toy scorer on synthetic data and write report files."""
-    defaults = _read_config_file(config_path)
-
-    def pick(name, cast, fallback):
-        if flags.get(name) is not None:
-            return flags[name]
-        if name in defaults:
-            raw = defaults[name]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
-            return cast(raw)
-        return fallback
-
-    train_cfg = TrainConfig(
-        iterations=pick("iterations", int, 150),
-        lr=pick("lr", float, 1e-2),
-        gamma=pick("gamma", float, 2.0),
-        margin_base=pick("margin_base", float, 0.1),
-        triplet_count=pick("triplet_count", int, 200),
-        beta_max=pick("beta_max", float, 0.5),
-        beta_kind=pick("beta_kind", str, "cosine"),
-        loss=pick("loss", str, "ftm"),
-        use_triplet=pick("use_triplet", bool, False),
-        seed=pick("seed", int, 0),
-    )
-    syn_cfg = SyntheticConfig(
-        taxonomy_path=tax,
-        feature_dim=pick("feature_dim", int, 16),
-        pixels_per_class=pick("pixels_per_class", int, 250),
-        noise_sigma=pick("noise_sigma", float, 1.0),
-        center_scale=pick("center_scale", float, 3.0),
-        seed=pick("seed", int, 0),
-    )
+    config = _read_config_file(config_path)
+    unknown = sorted(set(config) - set(flags))
+    if unknown:
+        known = ", ".join(sorted(flags))
+        raise click.ClickException(
+            f"unknown config key(s) {', '.join(unknown)}; expected one of {known}"
+        )
+    params = {p.name: p for p in ctx.command.params}
+    for name, raw in config.items():
+        if flags[name] is None:
+            flags[name] = _config_value(ctx, params[name], raw)
+    given = {name: value for name, value in flags.items() if value is not None}
+    train_cfg = TrainConfig(**_fields_of(TrainConfig, given))
+    syn_cfg = SyntheticConfig(taxonomy_path=tax, **_fields_of(SyntheticConfig, given))
     report = run_toy(syn_cfg, train_cfg)
     os.makedirs(out_dir, exist_ok=True)
     write_run_json(os.path.join(out_dir, "run.json"), report)

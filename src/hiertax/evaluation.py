@@ -65,7 +65,7 @@ def decode_field(h: ClassHierarchy, scores: ScoreField) -> LabelField:
 
 
 def level_ancestor_map(h: ClassHierarchy, level: int) -> np.ndarray:
-    """For each node, its merge target at the given level.
+    """For each node, its merge target at the given level (read-only).
 
     The target is the node's highest ancestor whose level does not exceed
     the requested one; in balanced trees this is the exact level-``level``
@@ -73,16 +73,7 @@ def level_ancestor_map(h: ClassHierarchy, level: int) -> np.ndarray:
     """
     if not 1 <= level <= h.height + 1:
         raise ValueError(f"level {level} out of range [1, {h.height + 1}]")
-    out = np.empty(len(h), dtype=np.int64)
-    for v in range(len(h)):
-        target = v
-        for u in h.ancestor_chain(v):
-            if h.level[u] <= level:
-                target = u
-            else:
-                break
-        out[v] = target
-    return out
+    return h.level_targets[level - 1]
 
 
 def merge_to_level(h: ClassHierarchy, labels: LabelField, level: int) -> LabelField:

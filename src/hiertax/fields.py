@@ -86,9 +86,7 @@ class LabelField:
 
     def check_hierarchy(self, h: ClassHierarchy) -> None:
         valid = self.leaf[self.valid_mask()]
-        leaf_set = np.zeros(len(h), dtype=bool)
-        leaf_set[list(h.leaves)] = True
-        if valid.size and (np.any(valid >= len(h)) or not np.all(leaf_set[valid])):
+        if valid.size and (np.any(valid >= len(h)) or np.any(h.leaf_index[valid] < 0)):
             raise ValueError("label field contains non-leaf ids for this hierarchy")
 
 

@@ -22,6 +22,9 @@ from .coherence import propagate, propagate_batch_winners, propagate_grad, row_b
 from .fields import IGNORE, LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
+# Every loss the trainer and the gradient check accept.
+LOSSES = ("cce", "bce", "focal", "tm", "ftm")
+
 
 @dataclass
 class FocalConfig:
@@ -68,7 +71,7 @@ def cce_loss(h: ClassHierarchy, y: np.ndarray, leaf: int, epsilon: float = 1e-12
         raise ValueError(f"node {leaf} is not a leaf")
     if abs(float(y.sum()) - 1.0) > 1e-6:
         raise ValueError("leaf scores must sum to 1")
-    idx = h.leaves.index(leaf)
+    idx = h.leaf_index[leaf]
     yc = _clip(y, epsilon)
     grad = np.zeros_like(y)
     grad[idx] = -1.0 / yc[idx]
@@ -151,7 +154,8 @@ def focal_tree_min_loss(
     return LossReport(value=float(values.sum()), grad=grad)
 
 
-FIELD_LOSSES = ("bce", "focal", "tm", "ftm")
+# The losses ``batch_loss`` takes: all but the flat softmax.
+FIELD_LOSSES = LOSSES[1:]
 
 
 def batch_loss(

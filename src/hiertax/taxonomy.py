@@ -8,7 +8,7 @@ distance to any leaf below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,9 +21,9 @@ class TaxonomyError(ValueError):
 class ClassHierarchy:
     """Immutable rooted tree over class names.
 
-    All structural queries (ancestor/descendant sets, pairwise tree
-    distances, root-to-leaf paths) are precomputed at construction, so the
-    object is safe for concurrent shared reads.
+    ``build_hierarchy`` computes every structural table once (ancestor and
+    descendant sets, tree distances, the batch kernels' arrays); arrays are
+    read-only, so the object is safe for concurrent shared reads.
     """
 
     nodes: tuple[str, ...]
@@ -33,10 +33,25 @@ class ClassHierarchy:
     leaves: tuple[int, ...]
     level: tuple[int, ...]
     height: int
-    dist: np.ndarray                 # |V| x |V| tree distances in edges
-
-    def __post_init__(self):
-        self.dist.setflags(write=False)
+    dist: np.ndarray = field(repr=False)  # |V| x |V| tree distances in edges
+    # Per depth 1, 2, ...: (nodes at that depth, their parents).
+    top_down: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    # Per depth, deepest first: (kids, starts, parents, group). ``kids`` are
+    # the nodes at that depth sorted by parent, ``starts`` the ``reduceat``
+    # offset of each parent's run of kids, ``parents`` the parent of each
+    # run and ``group`` the run index of each kid.
+    bottom_up: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
+    # |V| x |V| bool; row ``leaf`` marks the leaf's ancestor chain, rows of
+    # internal nodes are all False.
+    leaf_chain_mask: np.ndarray = field(repr=False)
+    # Each node's position in ``leaves``; -1 for internal nodes.
+    leaf_index: np.ndarray = field(repr=False)
+    # (height + 1, |V|); row ``L - 1`` maps each node to its highest ancestor
+    # of level <= L, or to itself when its own level exceeds L.
+    level_targets: np.ndarray = field(repr=False)
+    _chains: tuple[tuple[int, ...], ...] = field(repr=False)
+    _ancestor_sets: tuple[frozenset[int], ...] = field(repr=False)
+    _descendant_sets: tuple[frozenset[int], ...] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -80,83 +95,6 @@ class ClassHierarchy:
         """One path per leaf, ordered leaf first, root last; leaf id order."""
         return [list(self._chains[leaf]) for leaf in self.leaves]
 
-    @property
-    def _chains(self) -> tuple[tuple[int, ...], ...]:
-        return object.__getattribute__(self, "_chains_cache")
-
-    @property
-    def _ancestor_sets(self) -> tuple[frozenset[int], ...]:
-        return object.__getattribute__(self, "_ancestor_cache")
-
-    @property
-    def _descendant_sets(self) -> tuple[frozenset[int], ...]:
-        return object.__getattribute__(self, "_descendant_cache")
-
-    @property
-    def top_down(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per depth 1, 2, ...: (nodes at that depth, their parents)."""
-        return object.__getattribute__(self, "_top_down_cache")
-
-    @property
-    def bottom_up(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per depth, deepest first: (kids, starts, parents, group).
-
-        ``kids`` are the nodes at that depth sorted by parent, ``starts``
-        the ``reduceat`` offset of each parent's run of kids, ``parents``
-        the parent of each run and ``group`` the run index of each kid.
-        """
-        return object.__getattribute__(self, "_bottom_up_cache")
-
-    @property
-    def leaf_chain_mask(self) -> np.ndarray:
-        """|V| x |V| bool; row ``leaf`` marks the leaf's ancestor chain.
-
-        Rows of internal nodes are all False.
-        """
-        return object.__getattribute__(self, "_chain_mask_cache")
-
-
-def _finalize(h: ClassHierarchy) -> ClassHierarchy:
-    # Precompute ancestor chains and descendant sets once; the dataclass is
-    # frozen so caches are attached via object.__setattr__.
-    chains = []
-    for v in range(len(h.nodes)):
-        chain = [v]
-        while h.parent[chain[-1]] != -1:
-            chain.append(h.parent[chain[-1]])
-        chains.append(tuple(chain))
-    desc: list[set[int]] = [{v} for v in range(len(h.nodes))]
-    for v in sorted(range(len(h.nodes)), key=lambda v: -len(chains[v])):
-        if h.parent[v] != -1:
-            desc[h.parent[v]].update(desc[v])
-    object.__setattr__(h, "_chains_cache", tuple(chains))
-    object.__setattr__(h, "_ancestor_cache", tuple(frozenset(c) for c in chains))
-    object.__setattr__(h, "_descendant_cache", tuple(frozenset(d) for d in desc))
-
-    # Tables for the array kernels: nodes per depth with their parents, and
-    # per depth the kids grouped by parent for np.<ufunc>.reduceat.
-    n = len(h.nodes)
-    depth = np.array([len(c) - 1 for c in chains], dtype=np.int64)
-    parent = np.array(h.parent, dtype=np.int64)
-    top_down = []
-    bottom_up = []
-    for d in range(1, int(depth.max()) + 1):
-        nodes = np.flatnonzero(depth == d)
-        top_down.append(_frozen(nodes, parent[nodes]))
-        kids = nodes[np.argsort(parent[nodes], kind="stable")]
-        first = np.ones(kids.size, dtype=bool)
-        first[1:] = parent[kids[1:]] != parent[kids[:-1]]
-        starts = np.flatnonzero(first)
-        bottom_up.append(_frozen(kids, starts, parent[kids[starts]], np.cumsum(first) - 1))
-    chain_mask = np.eye(n, dtype=bool)
-    for nodes, parents in top_down:
-        chain_mask[nodes] |= chain_mask[parents]
-    chain_mask[[v for v in range(n) if h.children[v]]] = False
-    object.__setattr__(h, "_top_down_cache", tuple(top_down))
-    object.__setattr__(h, "_bottom_up_cache", tuple(reversed(bottom_up)))
-    object.__setattr__(h, "_chain_mask_cache", _frozen(chain_mask)[0])
-    return h
-
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
@@ -165,7 +103,10 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:
-    """Assemble and validate a ClassHierarchy from parallel name/parent lists."""
+    """Assemble and validate a ClassHierarchy from parallel name/parent lists.
+
+    This is the only place that builds the hierarchy's structural tables.
+    """
     n = len(names)
     if n == 0:
         raise TaxonomyError("empty hierarchy")
@@ -202,27 +143,67 @@ def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:
 
     leaves = tuple(v for v in range(n) if not children[v])
 
-    # level = 1 + longest edge distance to a descendant leaf
-    level = [0] * n
+    # Ancestor chains walk the parent pointers. Deepest first, each node's
+    # level (1 + longest edge distance to a descendant leaf) and descendant
+    # set are final before its parent reads them.
+    chains = []
+    for v in range(n):
+        chain = [v]
+        while parent[chain[-1]] != -1:
+            chain.append(parent[chain[-1]])
+        chains.append(tuple(chain))
+    level = [1] * n
+    desc: list[set[int]] = [{v} for v in range(n)]
     for v in sorted(range(n), key=lambda v: -depth[v]):
-        level[v] = 1 if not children[v] else 1 + max(level[c] for c in children[v])
+        if children[v]:
+            level[v] = 1 + max(level[c] for c in children[v])
+        if parent[v] != -1:
+            desc[parent[v]].update(desc[v])
     height = level[root] - 1
 
-    # dist(u, v) = depth(u) + depth(v) - 2 depth(lca); the common ancestors
-    # of u and v are exactly the lca's chain, so their count is depth(lca)+1
-    # and one boolean matmul yields all pairs at once.
-    anc = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        u = v
-        anc[v, u] = 1
-        while parent[u] != -1:
-            u = parent[u]
-            anc[v, u] = 1
-    lca_depth = anc @ anc.T - 1
+    # Tables for the array kernels: nodes per depth with their parents, and
+    # per depth the kids grouped by parent for np.<ufunc>.reduceat.
     depth_arr = np.array(depth, dtype=np.int64)
-    dist = depth_arr[:, None] + depth_arr[None, :] - 2 * lca_depth
+    parent_arr = np.array(parent, dtype=np.int64)
+    top_down = []
+    bottom_up = []
+    for d in range(1, int(depth_arr.max()) + 1):
+        nodes = np.flatnonzero(depth_arr == d)
+        top_down.append(_frozen(nodes, parent_arr[nodes]))
+        kids = nodes[np.argsort(parent_arr[nodes], kind="stable")]
+        first = np.ones(kids.size, dtype=bool)
+        first[1:] = parent_arr[kids[1:]] != parent_arr[kids[:-1]]
+        starts = np.flatnonzero(first)
+        bottom_up.append(_frozen(kids, starts, parent_arr[kids[starts]], np.cumsum(first) - 1))
 
-    h = ClassHierarchy(
+    # anc[v, u]: u is on v's chain. Its transpose marks each node's subtree,
+    # so it must be complete before the distance pass reads deeper rows:
+    # dist(v, u) = dist(parent v, u) + 1, minus 2 when u lies below v.
+    anc = np.eye(n, dtype=bool)
+    for nodes, parents in top_down:
+        anc[nodes] |= anc[parents]
+    dist = np.empty((n, n), dtype=np.int64)
+    dist[root] = depth_arr
+    for nodes, parents in top_down:
+        dist[nodes] = dist[parents] + 1 - 2 * anc.T[nodes]
+    chain_mask = anc
+    chain_mask[[v for v in range(n) if children[v]]] = False
+
+    leaf_index = np.full(n, -1, dtype=np.int64)
+    leaf_index[list(leaves)] = np.arange(len(leaves))
+
+    # Top-down: a node inherits its parent's target while the parent's level
+    # is within bounds, and is its own target otherwise.
+    level_arr = np.array(level, dtype=np.int64)
+    bound = np.arange(1, height + 2)[:, None]
+    level_targets = np.tile(np.arange(n), (height + 1, 1))
+    for nodes, parents in top_down:
+        level_targets[:, nodes] = np.where(
+            level_arr[parents] <= bound, level_targets[:, parents], nodes
+        )
+
+    _frozen(dist, chain_mask, leaf_index, level_targets)
+    return ClassHierarchy(
         nodes=tuple(names),
         parent=tuple(parent),
         children=tuple(tuple(c) for c in children),
@@ -231,8 +212,15 @@ def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:
         level=tuple(level),
         height=height,
         dist=dist,
+        top_down=tuple(top_down),
+        bottom_up=tuple(reversed(bottom_up)),
+        leaf_chain_mask=chain_mask,
+        leaf_index=leaf_index,
+        level_targets=level_targets,
+        _chains=tuple(chains),
+        _ancestor_sets=tuple(frozenset(c) for c in chains),
+        _descendant_sets=tuple(frozenset(d) for d in desc),
     )
-    return _finalize(h)
 
 
 def parse_taxonomy(text: str | bytes) -> ClassHierarchy:

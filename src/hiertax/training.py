@@ -27,7 +27,7 @@ from .embedding import (
 )
 from .evaluation import LevelScore, decode_batch, evaluate_prediction_levels
 from .fields import LabelField
-from .losses import FocalConfig, batch_loss
+from .losses import LOSSES, FocalConfig, batch_loss
 from .synthetic import SyntheticConfig, generate_synthetic
 from .taxonomy import ClassHierarchy
 
@@ -64,7 +64,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.loss not in ("cce", "bce", "focal", "tm", "ftm"):
+        if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.beta_kind not in ("cosine", "constant"):
             raise ValueError(f"unknown beta schedule {self.beta_kind!r}")
@@ -133,16 +133,6 @@ def _cce_step(logits: np.ndarray, leaves: np.ndarray, targets: np.ndarray, eps: 
     return value, grad
 
 
-def _leaf_positions(h: ClassHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
-    """Index of each label in ``h.leaves``; rejects non-leaf ids."""
-    pos_of = np.full(len(h), -1, dtype=np.int64)
-    pos_of[list(h.leaves)] = np.arange(len(h.leaves))
-    targets = pos_of[leaf_ids]
-    if (targets < 0).any():
-        raise ValueError("labels must be leaf node ids")
-    return targets
-
-
 def train(
     features: np.ndarray,
     labels: LabelField,
@@ -164,7 +154,9 @@ def train(
     focal = FocalConfig(gamma=cfg.gamma)
     leaves = np.array(h.leaves, dtype=np.int64)
     if cfg.loss == "cce":
-        targets = _leaf_positions(h, leaf_ids)
+        targets = h.leaf_index[leaf_ids]
+        if (targets < 0).any():
+            raise ValueError("labels must be leaf node ids")
 
     proj = None
     proj_vel = None

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hiertax.fields import (
     write_label_field,
     write_score_field,
 )
+from hiertax.gradcheck import gradcheck_loss
 
 from conftest import TAX_DIR
 
@@ -110,3 +113,52 @@ def tiny_tax_file(tmp_path):
     path = tmp_path / "tiny.tax"
     path.write_text("root\tR\nR\tA\nR\tB\nA\ta1\nA\ta2\n")
     return str(path)
+
+
+class TestTrainToyConfig:
+    ARGS = ["--iterations", "2", "--pixels-per-class", "5", "--loss", "bce"]
+
+    def _run(self, tmp_path, tiny_tax_file, config_text, *extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        out = tmp_path / "out"
+        rc = main(["train-toy", "--tax", tiny_tax_file, "--out-dir", str(out),
+                   "--config", str(cfg), *self.ARGS, *extra])
+        return rc, out
+
+    def test_unknown_key_rejected(self, tmp_path, tiny_tax_file, capsys):
+        rc, out = self._run(tmp_path, tiny_tax_file, "lrr=0.5\nmomentum=0.5\n")
+        assert rc == EXIT_VALIDATION
+        assert "lrr, momentum" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word", ["ture", "on", "", "2"])
+    def test_bad_boolean_rejected(self, tmp_path, tiny_tax_file, word):
+        rc, out = self._run(tmp_path, tiny_tax_file, f"use_triplet={word}\n")
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_flag_beats_config(self, tmp_path, tiny_tax_file):
+        rc, out = self._run(tmp_path, tiny_tax_file,
+                            "lr=0.5\nseed=4\nuse-triplet=YES\n", "--lr", "0.25")
+        assert rc == EXIT_OK
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config["lr"] == 0.25
+        assert config["seed"] == 4
+        assert config["use_triplet"] is True
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_gradcheck_rejects_no_trials(trials, capsys):
+    assert main(["gradcheck", "--loss", "ftm", "--trials", trials]) == EXIT_VALIDATION
+    assert "max relative error" not in capsys.readouterr().out
+    with pytest.raises(ValueError, match="at least 1"):
+        gradcheck_loss("ftm", trials=int(trials))
+
+
+def test_label_field_check_rejects_non_leaf_ids(tiny):
+    LabelField(np.array([[3, 4], [2, IGNORE]], dtype=np.uint32)).check_hierarchy(tiny)
+    for bad in (1, len(tiny)):
+        field = LabelField(np.array([[3, bad], [2, IGNORE]], dtype=np.uint32))
+        with pytest.raises(ValueError, match="non-leaf"):
+            field.check_hierarchy(tiny)

@@ -3,6 +3,8 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiertax.gradcheck import random_hierarchy
 from hiertax.taxonomy import TaxonomyError, load_taxonomy, parse_taxonomy
@@ -138,3 +140,23 @@ def test_triangle_inequality(tiny):
     n = len(tiny)
     for u, v, w in itertools.product(range(n), repeat=3):
         assert tiny.dist[u, w] <= tiny.dist[u, v] + tiny.dist[v, w]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 60))
+def test_leaf_index_and_level_targets_match_chain_walks(seed, n_nodes):
+    h = random_hierarchy(np.random.default_rng(seed), n_nodes)
+    want_index = [h.leaves.index(v) if h.is_leaf(v) else -1 for v in range(len(h))]
+    assert h.leaf_index.tolist() == want_index
+    assert h.level_targets.shape == (h.height + 1, len(h))
+    for level in range(1, h.height + 2):
+        for v in range(len(h)):
+            target = v
+            for u in h.ancestor_chain(v):
+                if h.level[u] > level:
+                    break
+                target = u
+            assert h.level_targets[level - 1, v] == target
+    tables = [h.dist, h.leaf_chain_mask, h.leaf_index, h.level_targets]
+    tables += [a for group in h.top_down + h.bottom_up for a in group]
+    assert all(not a.flags.writeable for a in tables)
