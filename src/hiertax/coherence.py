@@ -44,34 +44,25 @@ def check_positive_constraint(
     """Pairs (v, ancestor u) where v scores above threshold but above u.
 
     An empty list means every thresholded positive has all its ancestors
-    scored at least as high.
+    scored at least as high. Pairs are ordered by v, then u.
     """
     s = np.asarray(s, dtype=np.float64)
     _check_lengths(h, s)
-    violations = []
-    for v in range(len(h)):
-        if s[v] <= threshold:
-            continue
-        for u in sorted(h.ancestors(v)):
-            if u != v and s[v] > s[u]:
-                violations.append((v, u))
-    return violations
+    hit = h.ancestor_mask & (s[:, None] > s) & (s > threshold)[:, None]
+    return [(int(v), int(u)) for v, u in zip(*np.nonzero(hit))]
 
 
 def check_negative_constraint(
     h: ClassHierarchy, s: np.ndarray, threshold: float = 0.5
 ) -> list[tuple[int, int]]:
-    """Pairs (v, descendant u) where v scores at or below threshold but below u."""
+    """Pairs (v, descendant u) where v scores at or below threshold but below u.
+
+    Pairs are ordered by v, then u.
+    """
     s = np.asarray(s, dtype=np.float64)
     _check_lengths(h, s)
-    violations = []
-    for v in range(len(h)):
-        if s[v] > threshold:
-            continue
-        for u in sorted(h.descendants(v)):
-            if u != v and s[u] > s[v]:
-                violations.append((v, u))
-    return violations
+    hit = h.ancestor_mask.T & (s > s[:, None]) & (s <= threshold)[:, None]
+    return [(int(v), int(u)) for v, u in zip(*np.nonzero(hit))]
 
 
 def _validate_expansion(h: ClassHierarchy, labels: np.ndarray) -> None:
@@ -91,13 +82,7 @@ def propagate(h: ClassHierarchy, s: np.ndarray, labels: np.ndarray) -> np.ndarra
     labels = np.asarray(labels)
     _check_lengths(h, s, labels)
     _validate_expansion(h, labels)
-    p = np.empty_like(s)
-    for v in range(len(h)):
-        if labels[v]:
-            p[v] = min(s[u] for u in h.ancestors(v))
-        else:
-            p[v] = max(s[u] for u in h.descendants(v))
-    return p
+    return s[propagate_winners(h, s, labels)]
 
 
 def propagate_winners(h: ClassHierarchy, s: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -202,7 +187,7 @@ def propagate_batch(h: ClassHierarchy, s: np.ndarray, leaf_ids: np.ndarray) -> n
     p = np.empty(s.shape)
     for rows in row_blocks(h, s.shape[0]):
         amin, dmax = tree_extrema(h, s[rows])
-        pos = h.leaf_chain_mask[leaf_ids[rows]].T
+        pos = h.ancestor_mask[leaf_ids[rows]].T
         p[rows] = np.where(pos, amin, dmax).T
     return p
 
@@ -215,7 +200,7 @@ def propagate_batch_winners(
     Winner ties resolve to the smallest node id.
     """
     s = np.asarray(s, dtype=np.float64)
-    pos = h.leaf_chain_mask[np.asarray(leaf_ids)]
+    pos = h.ancestor_mask[np.asarray(leaf_ids)]
     p = np.empty(s.shape)
     winners = np.empty(s.shape, dtype=np.int64)
     for rows in row_blocks(h, s.shape[0]):

@@ -97,6 +97,20 @@ def tree_triplet_loss(a, p, n, margin: float) -> TripletLossReport:
     )
 
 
+def _has_triplet(dist: np.ndarray, labels: np.ndarray) -> bool:
+    """Whether some anchor sees >= 2 distinct distances among the other pixels.
+
+    An anchor's label sees distance 0 only when it has a second pixel, and
+    its (positive) distance to every other label present.
+    """
+    ids, counts = np.unique(labels, return_counts=True)
+    k = ids.size
+    if k < 2:
+        return False
+    off = dist[np.ix_(ids, ids)][~np.eye(k, dtype=bool)].reshape(k, k - 1)
+    return bool(((counts > 1) | (off.min(axis=1) != off.max(axis=1))).any())
+
+
 def sample_triplets(
     h: ClassHierarchy,
     batch_labels,
@@ -113,17 +127,8 @@ def sample_triplets(
     """
     labels = np.asarray(batch_labels, dtype=np.int64)
     n = labels.size
-    if n < 3 or count <= 0:
-        return []
     dist = h.dist
-    # Feasibility: some anchor must see >= 2 distinct distances among others.
-    feasible = False
-    for a in range(n):
-        others = np.delete(np.arange(n), a)
-        if np.unique(dist[labels[a], labels[others]]).size >= 2:
-            feasible = True
-            break
-    if not feasible:
+    if n < 3 or count <= 0 or not _has_triplet(dist, labels):
         return []
 
     rng = np.random.default_rng(rng_seed)

@@ -180,7 +180,7 @@ def batch_loss(
     grad = np.empty(s.shape)
     for rows in row_blocks(h, n):
         if which in ("bce", "focal"):
-            p, labels = s[rows], h.leaf_chain_mask[leaf_ids[rows]]
+            p, labels = s[rows], h.ancestor_mask[leaf_ids[rows]]
         else:
             p, winners, labels = propagate_batch_winners(h, s[rows], leaf_ids[rows])
         if which in ("bce", "tm"):

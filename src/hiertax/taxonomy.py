@@ -23,7 +23,8 @@ class ClassHierarchy:
 
     ``build_hierarchy`` computes every structural table once (ancestor and
     descendant sets, tree distances, the batch kernels' arrays); arrays are
-    read-only, so the object is safe for concurrent shared reads.
+    read-only, so the object is safe for concurrent shared reads. Equality
+    and hashing follow the defining fields; the tables derive from them.
     """
 
     nodes: tuple[str, ...]
@@ -33,25 +34,25 @@ class ClassHierarchy:
     leaves: tuple[int, ...]
     level: tuple[int, ...]
     height: int
-    dist: np.ndarray = field(repr=False)  # |V| x |V| tree distances in edges
+    dist: np.ndarray = field(repr=False, compare=False)  # |V| x |V| tree distances in edges
     # Per depth 1, 2, ...: (nodes at that depth, their parents).
-    top_down: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    top_down: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
     # Per depth, deepest first: (kids, starts, parents, group). ``kids`` are
     # the nodes at that depth sorted by parent, ``starts`` the ``reduceat``
     # offset of each parent's run of kids, ``parents`` the parent of each
     # run and ``group`` the run index of each kid.
-    bottom_up: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
-    # |V| x |V| bool; row ``leaf`` marks the leaf's ancestor chain, rows of
-    # internal nodes are all False.
-    leaf_chain_mask: np.ndarray = field(repr=False)
+    bottom_up: tuple[tuple[np.ndarray, ...], ...] = field(repr=False, compare=False)
+    # |V| x |V| bool; ancestor_mask[v, u] is True when u is on v's chain
+    # (v included), so row ``leaf`` is the leaf's label expansion.
+    ancestor_mask: np.ndarray = field(repr=False, compare=False)
     # Each node's position in ``leaves``; -1 for internal nodes.
-    leaf_index: np.ndarray = field(repr=False)
+    leaf_index: np.ndarray = field(repr=False, compare=False)
     # (height + 1, |V|); row ``L - 1`` maps each node to its highest ancestor
     # of level <= L, or to itself when its own level exceeds L.
-    level_targets: np.ndarray = field(repr=False)
-    _chains: tuple[tuple[int, ...], ...] = field(repr=False)
-    _ancestor_sets: tuple[frozenset[int], ...] = field(repr=False)
-    _descendant_sets: tuple[frozenset[int], ...] = field(repr=False)
+    level_targets: np.ndarray = field(repr=False, compare=False)
+    _chains: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    _ancestor_sets: tuple[frozenset[int], ...] = field(repr=False, compare=False)
+    _descendant_sets: tuple[frozenset[int], ...] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -186,8 +187,6 @@ def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:
     dist[root] = depth_arr
     for nodes, parents in top_down:
         dist[nodes] = dist[parents] + 1 - 2 * anc.T[nodes]
-    chain_mask = anc
-    chain_mask[[v for v in range(n) if children[v]]] = False
 
     leaf_index = np.full(n, -1, dtype=np.int64)
     leaf_index[list(leaves)] = np.arange(len(leaves))
@@ -202,7 +201,7 @@ def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:
             level_arr[parents] <= bound, level_targets[:, parents], nodes
         )
 
-    _frozen(dist, chain_mask, leaf_index, level_targets)
+    _frozen(dist, anc, leaf_index, level_targets)
     return ClassHierarchy(
         nodes=tuple(names),
         parent=tuple(parent),
@@ -214,7 +213,7 @@ def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:
         dist=dist,
         top_down=tuple(top_down),
         bottom_up=tuple(reversed(bottom_up)),
-        leaf_chain_mask=chain_mask,
+        ancestor_mask=anc,
         leaf_index=leaf_index,
         level_targets=level_targets,
         _chains=tuple(chains),

@@ -133,6 +133,15 @@ def _cce_step(logits: np.ndarray, leaves: np.ndarray, targets: np.ndarray, eps: 
     return value, grad
 
 
+def _sgd_step(params, vel: dict, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
+    """Momentum SGD with weight decay on the named arrays of ``params``:
+    ``v = m*v + (g + wd*p); p = p - lr*v``, each velocity starting at 0."""
+    for name, g in grads.items():
+        v = cfg.momentum * vel.get(name, 0.0) + (g + cfg.weight_decay * getattr(params, name))
+        vel[name] = v
+        setattr(params, name, getattr(params, name) - cfg.lr * v)
+
+
 def train(
     features: np.ndarray,
     labels: LabelField,
@@ -149,8 +158,7 @@ def train(
         weight=rng.normal(0.0, 0.01, size=(c, len(h))),
         bias=np.zeros(len(h)),
     )
-    vel_w = np.zeros_like(scorer.weight)
-    vel_b = np.zeros_like(scorer.bias)
+    scorer_vel: dict[str, np.ndarray] = {}
     focal = FocalConfig(gamma=cfg.gamma)
     leaves = np.array(h.leaves, dtype=np.int64)
     if cfg.loss == "cce":
@@ -159,13 +167,9 @@ def train(
             raise ValueError("labels must be leaf node ids")
 
     proj = None
-    proj_vel = None
+    proj_vel: dict[str, np.ndarray] = {}
     if cfg.use_triplet and cfg.triplet_count > 0:
         proj = init_projection(c, out_dim=cfg.proj_dim, rng=rng)
-        proj_vel = ProjectionParams(
-            w1=np.zeros_like(proj.w1), b1=np.zeros_like(proj.b1),
-            w2=np.zeros_like(proj.w2), b2=np.zeros_like(proj.b2),
-        )
 
     losses: list[float] = []
     betas: list[float] = []
@@ -190,12 +194,7 @@ def train(
             if not np.isfinite(tt_value):
                 raise TrainingDivergedError(f"non-finite triplet loss at step {step}")
 
-        g_w = x.T @ dlogits + cfg.weight_decay * scorer.weight
-        g_b = dlogits.sum(axis=0) + cfg.weight_decay * scorer.bias
-        vel_w = cfg.momentum * vel_w + g_w
-        vel_b = cfg.momentum * vel_b + g_b
-        scorer.weight = scorer.weight - cfg.lr * vel_w
-        scorer.bias = scorer.bias - cfg.lr * vel_b
+        _sgd_step(scorer, scorer_vel, {"weight": x.T @ dlogits, "bias": dlogits.sum(axis=0)}, cfg)
 
         losses.append(value + beta * tt_value)
         betas.append(beta)
@@ -231,7 +230,7 @@ def _triplet_step(
     leaf_ids: np.ndarray,
     cfg: TrainConfig,
     proj: ProjectionParams,
-    proj_vel: ProjectionParams,
+    proj_vel: dict[str, np.ndarray],
     beta: float,
     rng: np.random.Generator,
 ) -> float:
@@ -268,11 +267,7 @@ def _triplet_step(
     mean_value = total / used
     scale = beta / used
     _, grads = project_backward(x[flat_idx], proj, upstream.reshape(len(flat_idx), -1) * scale)
-    for name in ("w1", "b1", "w2", "b2"):
-        g = getattr(grads, name) + cfg.weight_decay * getattr(proj, name)
-        v = cfg.momentum * getattr(proj_vel, name) + g
-        setattr(proj_vel, name, v)
-        setattr(proj, name, getattr(proj, name) - cfg.lr * v)
+    _sgd_step(proj, proj_vel, vars(grads), cfg)
     return float(mean_value)
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiertax.embedding import (
+    _has_triplet,
     ProjectionParams,
     cosine_distance,
     init_projection,
@@ -11,7 +14,7 @@ from hiertax.embedding import (
     tree_triplet_loss,
     triplet_margin,
 )
-from hiertax.gradcheck import central_difference, relative_error
+from hiertax.gradcheck import central_difference, random_hierarchy, relative_error
 from hiertax.taxonomy import build_hierarchy
 
 
@@ -128,6 +131,21 @@ class TestSampleTriplets:
             assert tiny.tree_distance(t.anchor_leaf, t.pos_leaf) < tiny.tree_distance(
                 t.anchor_leaf, t.neg_leaf
             )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30), n=st.integers(3, 12))
+def test_triplet_feasibility_matches_per_anchor_scan(seed, n_nodes, n):
+    rng = np.random.default_rng(seed)
+    h = random_hierarchy(rng, n_nodes)
+    # Few distinct labels, so single-label and all-distinct batches both occur.
+    pool = rng.choice(h.leaves, size=int(rng.integers(1, 4)))
+    labels = rng.choice(pool, size=n)
+    want = any(
+        np.unique(h.dist[labels[a], np.delete(labels, a)]).size >= 2 for a in range(n)
+    )
+    assert _has_triplet(h.dist, labels) == want
+    assert bool(sample_triplets(h, labels, count=1, rng_seed=seed)) == want
 
 
 class TestProjection:

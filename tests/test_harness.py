@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ class TestReportFiles:
         blob = json.dumps(artifacts)
         paths_b = write_report_files(json.loads(blob), tmp_path / "b")
         for pa, pb in zip(paths_a, paths_b):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
     def test_report_file_contents(self, three_level, tmp_path):
         report = self._report(three_level)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiertax.gradcheck import random_hierarchy
-from hiertax.taxonomy import TaxonomyError, load_taxonomy, parse_taxonomy
+from hiertax.taxonomy import TaxonomyError, build_hierarchy, load_taxonomy, parse_taxonomy
 
 from conftest import TAX_DIR
 
@@ -157,6 +157,17 @@ def test_leaf_index_and_level_targets_match_chain_walks(seed, n_nodes):
                     break
                 target = u
             assert h.level_targets[level - 1, v] == target
-    tables = [h.dist, h.leaf_chain_mask, h.leaf_index, h.level_targets]
+    for v in range(len(h)):
+        assert set(np.flatnonzero(h.ancestor_mask[v]).tolist()) == h.ancestors(v)
+    tables = [h.dist, h.ancestor_mask, h.leaf_index, h.level_targets]
     tables += [a for group in h.top_down + h.bottom_up for a in group]
     assert all(not a.flags.writeable for a in tables)
+
+
+def test_equality_and_hash_follow_the_defining_fields():
+    a = build_hierarchy(["r", "a", "b"], [-1, 0, 0])
+    b = build_hierarchy(["r", "a", "b"], [-1, 0, 0])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != build_hierarchy(["r", "a", "b"], [-1, 0, 1])
+    assert {a: "tree"}[b] == "tree"

@@ -1,4 +1,5 @@
-"""Property tests: the row-blocked tree-DP kernels against brute force.
+"""Property tests: the row-blocked tree-DP kernels and the ancestor-mask
+constraint checks against brute force.
 
 Random recursive trees with quantised scores, so that ties between nodes
 are common; every tie must resolve to the smallest node (or leaf) id.
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from hiertax.coherence import (
     BLOCK_ELEMS,
+    check_negative_constraint,
+    check_positive_constraint,
     expand_labels,
     propagate_batch,
     propagate_batch_winners,
@@ -83,6 +86,33 @@ def brute_violation_rate(h, s, threshold=0.5):
         for u in h.descendants(v) - {v}:
             viol |= (s[:, v] <= threshold) & (s[:, u] > s[:, v])
     return float(viol.mean())
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(1, 30),
+    threshold=st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.75, 1.0]),
+)
+def test_constraint_checks_match_pairwise_definition(seed, n_nodes, threshold):
+    h, s, _ = _case(seed, n_nodes, 1)
+    s = s[0]
+    pos = [
+        (v, u)
+        for v in range(len(h))
+        if s[v] > threshold
+        for u in sorted(h.ancestors(v))
+        if u != v and s[v] > s[u]
+    ]
+    neg = [
+        (v, u)
+        for v in range(len(h))
+        if s[v] <= threshold
+        for u in sorted(h.descendants(v))
+        if u != v and s[u] > s[v]
+    ]
+    assert check_positive_constraint(h, s, threshold) == pos
+    assert check_negative_constraint(h, s, threshold) == neg
 
 
 @PROPERTY
