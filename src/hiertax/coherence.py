@@ -38,6 +38,11 @@ def _check_lengths(h: ClassHierarchy, *vecs: np.ndarray) -> None:
             raise ValueError(f"expected vector of length {len(h)}, got shape {v.shape}")
 
 
+def _check_threshold(threshold: float) -> None:
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
+
+
 def check_positive_constraint(
     h: ClassHierarchy, s: np.ndarray, threshold: float = 0.5
 ) -> list[tuple[int, int]]:
@@ -48,6 +53,7 @@ def check_positive_constraint(
     """
     s = np.asarray(s, dtype=np.float64)
     _check_lengths(h, s)
+    _check_threshold(threshold)
     hit = h.ancestor_mask & (s[:, None] > s) & (s > threshold)[:, None]
     return [(int(v), int(u)) for v, u in zip(*np.nonzero(hit))]
 
@@ -61,6 +67,7 @@ def check_negative_constraint(
     """
     s = np.asarray(s, dtype=np.float64)
     _check_lengths(h, s)
+    _check_threshold(threshold)
     hit = h.ancestor_mask.T & (s > s[:, None]) & (s <= threshold)[:, None]
     return [(int(v), int(u)) for v, u in zip(*np.nonzero(hit))]
 
@@ -180,6 +187,18 @@ def tree_extrema(h: ClassHierarchy, s: np.ndarray, winners: bool = False) -> tup
     return amin, dmax
 
 
+def _leaf_rows(h: ClassHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
+    """Label expansions of ``leaf_ids`` as (N, |V|) ``ancestor_mask`` rows.
+
+    Raises ``ValueError`` naming the first id that is not a leaf of ``h``.
+    """
+    ids = np.asarray(leaf_ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= len(h) or (h.leaf_index[ids] < 0).any()):
+        bad = next(v for v in ids.ravel().tolist() if not 0 <= v < len(h) or h.leaf_index[v] < 0)
+        raise ValueError(f"label id {bad} is not a leaf of the hierarchy")
+    return h.ancestor_mask[ids]
+
+
 def propagate_batch(h: ClassHierarchy, s: np.ndarray, leaf_ids: np.ndarray) -> np.ndarray:
     """Vectorized propagate for N score vectors with per-row leaf labels."""
     s = np.asarray(s, dtype=np.float64)
@@ -187,7 +206,7 @@ def propagate_batch(h: ClassHierarchy, s: np.ndarray, leaf_ids: np.ndarray) -> n
     p = np.empty(s.shape)
     for rows in row_blocks(h, s.shape[0]):
         amin, dmax = tree_extrema(h, s[rows])
-        pos = h.ancestor_mask[leaf_ids[rows]].T
+        pos = _leaf_rows(h, leaf_ids[rows]).T
         p[rows] = np.where(pos, amin, dmax).T
     return p
 
@@ -200,7 +219,7 @@ def propagate_batch_winners(
     Winner ties resolve to the smallest node id.
     """
     s = np.asarray(s, dtype=np.float64)
-    pos = h.ancestor_mask[np.asarray(leaf_ids)]
+    pos = _leaf_rows(h, leaf_ids)
     p = np.empty(s.shape)
     winners = np.empty(s.shape, dtype=np.int64)
     for rows in row_blocks(h, s.shape[0]):

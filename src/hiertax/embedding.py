@@ -121,9 +121,11 @@ def sample_triplets(
 ) -> list[Triplet]:
     """Sample up to ``count`` valid triplets with replacement, anchor first.
 
-    A candidate pair is ordered by tree distance to the anchor and rejected
-    when the distances tie. Degenerate batches (no anchor admits two
-    distinct distances) yield an empty list.
+    Candidates are (anchor, i, j) draws of three pixel indices. A candidate
+    is rejected when two indices coincide or when i and j are at the same
+    tree distance from the anchor; otherwise the nearer one is the positive.
+    Sampling stops after ``max_tries`` consecutive rejections. Degenerate
+    batches (no anchor admits two distinct distances) yield an empty list.
     """
     labels = np.asarray(batch_labels, dtype=np.int64)
     n = labels.size
@@ -132,35 +134,89 @@ def sample_triplets(
         return []
 
     rng = np.random.default_rng(rng_seed)
-    out: list[Triplet] = []
-    while len(out) < count:
-        for _ in range(max_tries):
-            a, i, j = rng.integers(0, n, size=3)
-            if i == a or j == a or i == j:
-                continue
-            di = dist[labels[a], labels[i]]
-            dj = dist[labels[a], labels[j]]
-            if di == dj:
-                continue
-            if di > dj:
-                i, j = j, i
-            out.append(
-                Triplet(
-                    anchor=int(a),
-                    pos=int(i),
-                    neg=int(j),
-                    anchor_leaf=int(labels[a]),
-                    pos_leaf=int(labels[i]),
-                    neg_leaf=int(labels[j]),
-                    margin=triplet_margin(
-                        h, int(labels[a]), int(labels[i]), int(labels[j]), margin_base
-                    ),
-                )
-            )
+    kept: list[np.ndarray] = []
+    need, misses = count, 0
+    while need > 0:
+        # One (k, 3) draw returns exactly the values of k successive size-3
+        # draws, so the candidates do not depend on the block size.
+        cand = rng.integers(0, n, size=(4 * need + 16, 3))
+        a, i, j = cand.T
+        la = labels[a]
+        hits = np.flatnonzero(
+            (i != a) & (j != a) & (i != j) & (dist[la, labels[i]] != dist[la, labels[j]])
+        )
+        # rejections in a row before each hit, counting those carried over
+        run = np.diff(hits, prepend=-1) - 1
+        run[:1] += misses
+        spent = np.flatnonzero(run >= max_tries)
+        stop = spent.size > 0
+        take = hits[: min(spent[0] if stop else hits.size, need)]
+        kept.append(cand[take])
+        need -= take.size
+        misses = cand.shape[0] - 1 - hits[-1] if hits.size else misses + cand.shape[0]
+        if stop or misses >= max_tries:
             break
-        else:
-            break  # retry budget exhausted; return what we have
-    return out
+
+    a, i, j = np.concatenate(kept).T
+    la, li, lj = labels[a], labels[i], labels[j]
+    di, dj = dist[la, li], dist[la, lj]
+    swap = di > dj
+    pos, neg = np.where(swap, j, i), np.where(swap, i, j)
+    lp, ln = np.where(swap, lj, li), np.where(swap, li, lj)
+    # triplet_margin's arithmetic, on the whole batch
+    margins = margin_base + 0.5 * (np.abs(di - dj) / (2.0 * h.height))
+    cols = (a, pos, neg, la, lp, ln, margins)
+    return [Triplet(*row) for row in zip(*(c.tolist() for c in cols))]
+
+
+def batch_triplet_loss(
+    a: np.ndarray, p: np.ndarray, n: np.ndarray, margins: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``tree_triplet_loss`` for T triplets at once: rows of the (T, D)
+    arrays ``a``, ``p``, ``n`` with their (T,) ``margins``.
+
+    Returns the (T,) hinge values and the three (T, D) gradients; row t is
+    bit-identical to ``tree_triplet_loss(a[t], p[t], n[t], margins[t])``.
+    """
+    a, p, n = (np.asarray(x, dtype=np.float64) for x in (a, p, n))
+    (norm_a, cube_a), (norm_p, cube_p), (norm_n, cube_n) = (_checked_norms(x) for x in (a, p, n))
+    d_ap, g_a_p, g_p = _batch_cosine_distance_grad(a, p, norm_a, norm_p, cube_a, cube_p)
+    d_an, g_a_n, g_n = _batch_cosine_distance_grad(a, n, norm_a, norm_n, cube_a, cube_n)
+    arg = d_ap - d_an + np.asarray(margins, dtype=np.float64)[:, None]
+    active = ~(arg < 0.0)
+    return (
+        np.where(active, arg, 0.0)[:, 0],
+        np.where(active, g_a_p - g_a_n, 0.0),
+        np.where(active, g_p, 0.0),
+        np.where(active, -g_n, 0.0),
+    )
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(T, 1) dot products of matching rows. Stacked matmul runs one BLAS
+    dot per row, as ``x[t] @ y[t]`` does; einsum and multiply-sum round
+    differently."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0]
+
+
+def _checked_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, 1) row norms and their cubes; raises as ``_checked`` does."""
+    norm = np.sqrt(_row_dot(x, x))
+    if not np.all(np.isfinite(norm) & (norm != 0.0)):
+        raise ValueError("embedding must have finite nonzero norm")
+    # ``np.float64 ** 3`` calls libm pow; the array power's SIMD pow can
+    # differ from it in the last bit, so cube element by element.
+    cube = np.array([v**3 for v in norm.ravel().tolist()]).reshape(norm.shape)
+    return norm, cube
+
+
+def _batch_cosine_distance_grad(x, y, nx, ny, nx3, ny3):
+    """``_cosine_distance_grad`` per row, given the (T, 1) norms and cubes."""
+    dot = _row_dot(x, y)
+    d = 0.5 * (1.0 - dot / (nx * ny))
+    gx = -0.5 * (y / (nx * ny) - dot * x / (nx3 * ny))
+    gy = -0.5 * (x / (nx * ny) - dot * y / (nx * ny3))
+    return d, gx, gy
 
 
 @dataclass

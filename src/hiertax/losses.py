@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import propagate, propagate_batch_winners, propagate_grad, row_blocks
+from .coherence import _leaf_rows, propagate, propagate_batch_winners, propagate_grad, row_blocks
 from .fields import IGNORE, LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
@@ -180,7 +180,7 @@ def batch_loss(
     grad = np.empty(s.shape)
     for rows in row_blocks(h, n):
         if which in ("bce", "focal"):
-            p, labels = s[rows], h.ancestor_mask[leaf_ids[rows]]
+            p, labels = s[rows], _leaf_rows(h, leaf_ids[rows])
         else:
             p, winners, labels = propagate_batch_winners(h, s[rows], leaf_ids[rows])
         if which in ("bce", "tm"):

@@ -19,11 +19,11 @@ from .embedding import (
     DEFAULT_MARGIN_BASE,
     DEFAULT_TRIPLET_COUNT,
     ProjectionParams,
+    batch_triplet_loss,
     init_projection,
     project,
     project_backward,
     sample_triplets,
-    tree_triplet_loss,
 )
 from .evaluation import LevelScore, decode_batch, evaluate_prediction_levels
 from .fields import LabelField
@@ -246,29 +246,28 @@ def _triplet_step(
     if not triplets:
         return 0.0
     idx = np.array([[t.anchor, t.pos, t.neg] for t in triplets], dtype=np.int64)
+    margins = np.array([t.margin for t in triplets])
     flat_idx = idx.reshape(-1)
     z = project(x[flat_idx], proj).reshape(len(triplets), 3, -1)
-    upstream = np.zeros_like(z)
-    total = 0.0
-    used = 0
-    for i, t in enumerate(triplets):
-        # the rectifier can zero an embedding outright; cosine distance is
-        # undefined there, so such triplets contribute nothing
-        if not (z[i, 0].any() and z[i, 1].any() and z[i, 2].any()):
-            continue
-        rep = tree_triplet_loss(z[i, 0], z[i, 1], z[i, 2], t.margin)
-        total += rep.value
-        upstream[i, 0] = rep.grad_anchor
-        upstream[i, 1] = rep.grad_pos
-        upstream[i, 2] = rep.grad_neg
-        used += 1
-    if used == 0:
+    # the rectifier can zero an embedding outright; cosine distance is
+    # undefined there, so such triplets contribute nothing
+    used = z.any(axis=2).all(axis=1)
+    if not used.any():
         return 0.0
-    mean_value = total / used
-    scale = beta / used
-    _, grads = project_backward(x[flat_idx], proj, upstream.reshape(len(flat_idx), -1) * scale)
+    values, g_a, g_p, g_n = batch_triplet_loss(
+        z[used, 0], z[used, 1], z[used, 2], margins[used]
+    )
+    total = 0.0
+    for v in values.tolist():  # in order, as a running sum
+        total += v
+    count = values.size
+    upstream = np.zeros_like(z)
+    upstream[used, 0], upstream[used, 1], upstream[used, 2] = g_a, g_p, g_n
+    _, grads = project_backward(
+        x[flat_idx], proj, upstream.reshape(len(flat_idx), -1) * (beta / count)
+    )
     _sgd_step(proj, proj_vel, vars(grads), cfg)
-    return float(mean_value)
+    return float(total / count)
 
 
 def run_toy(

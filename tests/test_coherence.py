@@ -7,12 +7,14 @@ from hiertax.coherence import (
     expand_labels,
     propagate,
     propagate_batch,
+    propagate_batch_winners,
     propagate_field,
     propagate_grad,
     propagate_winners,
 )
 from hiertax.fields import IGNORE, LabelField, ScoreField
 from hiertax.gradcheck import central_difference, random_hierarchy, relative_error, tie_free_scores
+from hiertax.losses import batch_loss
 from hiertax.taxonomy import build_hierarchy
 
 
@@ -146,3 +148,20 @@ def test_propagate_field_ignores_sentinel(tiny):
     assert np.array_equal(out.scores[0, 1], scores.scores[0, 1])  # untouched
     expected = propagate(tiny, scores.scores[1, 0], expand_labels(tiny, 4))
     assert np.array_equal(out.scores[1, 0], expected)
+
+
+@pytest.mark.parametrize("bad_id", [1, 0, -1, 5, 7])
+def test_batch_kernels_reject_non_leaf_ids(tiny, bad_id):
+    """Internal ids, the root, negative ids (which would wrap) and ids past
+    the last node are rejected by every batch path, naming the id."""
+    s = np.array([[0.2, 0.6, 0.4, 0.9, 0.1], [0.5, 0.5, 0.5, 0.5, 0.5]])
+    leaf_ids = np.array([3, bad_id])
+    calls = [
+        lambda: propagate_batch(tiny, s, leaf_ids),
+        lambda: propagate_batch_winners(tiny, s, leaf_ids),
+    ]
+    for which in ("bce", "focal", "tm", "ftm"):
+        calls.append(lambda which=which: batch_loss(tiny, s, leaf_ids, which))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"label id {bad_id} is not a leaf"):
+            call()

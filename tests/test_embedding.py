@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hiertax.training as training
 from hiertax.embedding import (
     _has_triplet,
     ProjectionParams,
+    Triplet,
+    batch_triplet_loss,
     cosine_distance,
     init_projection,
     project,
@@ -15,7 +18,11 @@ from hiertax.embedding import (
     triplet_margin,
 )
 from hiertax.gradcheck import central_difference, random_hierarchy, relative_error
+from hiertax.synthetic import SyntheticConfig, generate_synthetic
 from hiertax.taxonomy import build_hierarchy
+from hiertax.training import TrainConfig, train
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 class TestCosineDistance:
@@ -133,7 +140,7 @@ class TestSampleTriplets:
             )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30), n=st.integers(3, 12))
 def test_triplet_feasibility_matches_per_anchor_scan(seed, n_nodes, n):
     rng = np.random.default_rng(seed)
@@ -146,6 +153,205 @@ def test_triplet_feasibility_matches_per_anchor_scan(seed, n_nodes, n):
     )
     assert _has_triplet(h.dist, labels) == want
     assert bool(sample_triplets(h, labels, count=1, rng_seed=seed)) == want
+
+
+def reference_sample_triplets(h, batch_labels, count=200, rng_seed=0, margin_base=0.1, max_tries=1000):
+    """The per-draw sampler that ``sample_triplets`` replaced: one size-3
+    draw per candidate, up to ``max_tries`` candidates per triplet."""
+    labels = np.asarray(batch_labels, dtype=np.int64)
+    n = labels.size
+    dist = h.dist
+    if n < 3 or count <= 0 or not _has_triplet(dist, labels):
+        return []
+
+    rng = np.random.default_rng(rng_seed)
+    out = []
+    while len(out) < count:
+        for _ in range(max_tries):
+            a, i, j = rng.integers(0, n, size=3)
+            if i == a or j == a or i == j:
+                continue
+            di = dist[labels[a], labels[i]]
+            dj = dist[labels[a], labels[j]]
+            if di == dj:
+                continue
+            if di > dj:
+                i, j = j, i
+            out.append(
+                Triplet(
+                    anchor=int(a),
+                    pos=int(i),
+                    neg=int(j),
+                    anchor_leaf=int(labels[a]),
+                    pos_leaf=int(labels[i]),
+                    neg_leaf=int(labels[j]),
+                    margin=triplet_margin(
+                        h, int(labels[a]), int(labels[i]), int(labels[j]), margin_base
+                    ),
+                )
+            )
+            break
+        else:
+            break  # retry budget exhausted; return what we have
+    return out
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 30),
+    n=st.integers(3, 400),
+    count=st.integers(1, 80),
+    max_tries=st.sampled_from([1, 2, 5, 1000]),
+)
+def test_sample_triplets_matches_per_draw_reference(seed, n_nodes, n, count, max_tries):
+    rng = np.random.default_rng(seed)
+    h = random_hierarchy(rng, n_nodes)
+    pool = rng.choice(h.leaves, size=int(rng.integers(1, 5)))
+    labels = rng.choice(pool, size=n)
+    kwargs = dict(
+        count=count,
+        rng_seed=int(rng.integers(0, 2**63 - 1)),
+        margin_base=float(rng.choice([0.0, 0.1, 0.37])),
+        max_tries=max_tries,
+    )
+    assert sample_triplets(h, labels, **kwargs) == reference_sample_triplets(h, labels, **kwargs)
+
+
+@pytest.mark.parametrize("max_tries", [10, 30, 100])
+def test_sample_triplets_low_yield_matches_per_draw_reference(tiny, max_tries):
+    """One a1 pixel among b pixels: a candidate is valid only with a b anchor,
+    a1 and another b, so runs of rejections often span draw blocks."""
+    for n in (20, 60):
+        labels = [3] + [2] * (n - 1)
+        for seed in range(20):
+            kwargs = dict(count=15, rng_seed=seed, max_tries=max_tries)
+            assert sample_triplets(tiny, labels, **kwargs) == reference_sample_triplets(
+                tiny, labels, **kwargs
+            ), (n, seed)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestBatchTripletLoss:
+    def _case(self, t=64, d=16):
+        rng = np.random.default_rng(8)
+        a, p, n = rng.normal(size=(3, t, d))
+        margins = rng.uniform(0.1, 0.6, size=t)
+        # row 0: far from active
+        p[0], n[0], margins[0] = a[0], -a[0], 0.35
+        # row 1: d(a, p) = 0 and d(a, n) = 0.5 exactly, so arg == 0
+        a[1], p[1], n[1], margins[1] = 0.0, 0.0, 0.0, 0.5
+        a[1, 0] = p[1, 0] = n[1, 1] = 1.0
+        return a, p, n, margins
+
+    def test_rows_match_scalar_oracle_bit_for_bit(self):
+        a, p, n, margins = self._case()
+        values, g_a, g_p, g_n = batch_triplet_loss(a, p, n, margins)
+        for r in range(len(margins)):
+            rep = tree_triplet_loss(a[r], p[r], n[r], margins[r])
+            assert _bits(values[r]) == _bits(rep.value), r
+            assert _bits(g_a[r]) == _bits(rep.grad_anchor), r
+            assert _bits(g_p[r]) == _bits(rep.grad_pos), r
+            assert _bits(g_n[r]) == _bits(rep.grad_neg), r
+        assert values[0] == 0.0 and not (g_a[0].any() or g_p[0].any() or g_n[0].any())
+        # the boundary routes as active: zero value, nonzero gradient
+        assert values[1] == 0.0 and g_a[1].any()
+        assert (values > 0.0).sum() > 10 and (values == 0.0).sum() > 2
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_zero_or_nonfinite_row_rejected_like_oracle(self, which, bad):
+        args = list(self._case()[:3])
+        args[which] = args[which].copy()
+        args[which][5] = bad
+        with pytest.raises(ValueError, match="nonzero norm"):
+            tree_triplet_loss(args[0][5], args[1][5], args[2][5], 0.3)
+        with pytest.raises(ValueError, match="nonzero norm"):
+            batch_triplet_loss(*args, np.full(len(args[0]), 0.3))
+
+
+def reference_triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng):
+    """The per-triplet projection step that ``training._triplet_step``
+    replaced, on the per-draw sampler and the scalar hinge."""
+    step_seed = int(rng.integers(0, 2**63 - 1))
+    triplets = reference_sample_triplets(
+        h, leaf_ids, count=cfg.triplet_count, rng_seed=step_seed, margin_base=cfg.margin_base
+    )
+    if not triplets:
+        return 0.0
+    idx = np.array([[t.anchor, t.pos, t.neg] for t in triplets], dtype=np.int64)
+    flat_idx = idx.reshape(-1)
+    z = project(x[flat_idx], proj).reshape(len(triplets), 3, -1)
+    upstream = np.zeros_like(z)
+    total = 0.0
+    used = 0
+    for i, t in enumerate(triplets):
+        if not (z[i, 0].any() and z[i, 1].any() and z[i, 2].any()):
+            continue
+        rep = tree_triplet_loss(z[i, 0], z[i, 1], z[i, 2], t.margin)
+        total += rep.value
+        upstream[i, 0] = rep.grad_anchor
+        upstream[i, 1] = rep.grad_pos
+        upstream[i, 2] = rep.grad_neg
+        used += 1
+    if used == 0:
+        return 0.0
+    mean_value = total / used
+    scale = beta / used
+    _, grads = project_backward(x[flat_idx], proj, upstream.reshape(len(flat_idx), -1) * scale)
+    training._sgd_step(proj, proj_vel, vars(grads), cfg)
+    return float(mean_value)
+
+
+@pytest.mark.parametrize("all_zero", [False, True])
+def test_triplet_step_skips_zero_embeddings_like_reference(three_level, all_zero):
+    """The head maps every pixel with a negative first feature to the zero
+    embedding; triplets touching one contribute nothing."""
+    rng = np.random.default_rng(9)
+    leaf_ids = rng.choice(np.array(three_level.leaves), size=60)
+    x = rng.normal(size=(60, 4))
+    if all_zero:
+        x[:, 0] = -np.abs(x[:, 0])
+    w1 = np.zeros((4, 3))
+    w1[0] = [1.0, 0.5, 2.0]
+    w2 = rng.normal(size=(3, 5))
+    cfg = TrainConfig(triplet_count=200)
+    results = []
+    for step in (training._triplet_step, reference_triplet_step):
+        proj = ProjectionParams(w1=w1.copy(), b1=np.zeros(3), w2=w2.copy(), b2=np.zeros(5))
+        value = step(three_level, x, leaf_ids, cfg, proj, {}, 0.5, np.random.default_rng(3))
+        results.append((value, [_bits(getattr(proj, k)) for k in ("w1", "b1", "w2", "b2")]))
+    assert results[0] == results[1]
+    assert (results[0][0] == 0.0) == all_zero
+
+
+def test_training_triplet_step_matches_per_triplet_reference(three_level, monkeypatch):
+    features, labels, h = generate_synthetic(
+        SyntheticConfig(pixels_per_class=200, seed=0), three_level
+    )
+    cfg = TrainConfig(iterations=10, loss="ftm", use_triplet=True, seed=0)
+
+    def run():
+        made = []
+
+        def keep(*args, **kwargs):
+            made.append(init_projection(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(training, "init_projection", keep)
+        return train(features, labels, h, cfg), made[0]
+
+    got, proj = run()
+    monkeypatch.setattr(training, "_triplet_step", reference_triplet_step)
+    want, ref_proj = run()
+    assert any(got.triplet_losses)
+    assert got.triplet_losses == want.triplet_losses
+    assert got.losses == want.losses
+    for name in ("w1", "b1", "w2", "b2"):
+        assert _bits(getattr(proj, name)) == _bits(getattr(ref_proj, name)), name
 
 
 class TestProjection:

@@ -113,6 +113,9 @@ def test_constraint_checks_match_pairwise_definition(seed, n_nodes, threshold):
     ]
     assert check_positive_constraint(h, s, threshold) == pos
     assert check_negative_constraint(h, s, threshold) == neg
+    for check in (check_positive_constraint, check_negative_constraint):
+        with pytest.raises(ValueError, match="NaN"):
+            check(h, s, float("nan"))
 
 
 @PROPERTY
