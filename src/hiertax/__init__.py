@@ -22,8 +22,6 @@ from .evaluation import (
     decode_field,
     decode_path,
     evaluate_all_levels,
-    merge_to_level,
-    miou,
 )
 from .fields import IGNORE, LabelField, ScoreField
 from .losses import (
@@ -69,8 +67,6 @@ __all__ = [
     "focal_tree_min_loss",
     "generate_synthetic",
     "load_taxonomy",
-    "merge_to_level",
-    "miou",
     "parse_taxonomy",
     "project",
     "propagate",

@@ -148,6 +148,26 @@ def row_blocks(h: ClassHierarchy, n: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
+def sibling_max(
+    vals: np.ndarray, ids: np.ndarray | None,
+    kids: np.ndarray, starts: np.ndarray, group: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Max of node-major (|V|, B) ``vals`` over each sibling run of one
+    ``ClassHierarchy.bottom_up`` step.
+
+    Returns ``(best, best_id)``: ``best_id`` is, per run, the smallest of
+    ``ids[kids]`` (node ids, below |V|) among the kids that attain ``best``,
+    or None without ``ids``.
+    """
+    sub = vals[kids]
+    best = np.maximum.reduceat(sub, starts, axis=0)
+    if ids is None:
+        return best, None
+    # Kids not tied with their run's best move above every node id.
+    tied = ids[kids] + (sub != best[group]) * len(vals)
+    return best, np.minimum.reduceat(tied, starts, axis=0)
+
+
 def tree_extrema(h: ClassHierarchy, s: np.ndarray, winners: bool = False) -> tuple[np.ndarray, ...]:
     """Ancestor-min and descendant-max of one (B, |V|) row block, node-major.
 
@@ -172,14 +192,10 @@ def tree_extrema(h: ClassHierarchy, s: np.ndarray, winners: bool = False) -> tup
     # Each level's parents still hold their own score and id when their
     # kids are reduced, because parents sit one depth higher.
     for kids, starts, parents, group in h.bottom_up:
-        sub = dmax[kids]
-        best = np.maximum.reduceat(sub, starts, axis=0)
+        best, best_w = sibling_max(dmax, dmax_w if winners else None, kids, starts, group)
         cur = dmax[parents]
         dmax[parents] = np.maximum(cur, best)
         if winners:
-            # Kids not tied with their run's best move above every node id.
-            tied = dmax_w[kids] + (sub != best[group]) * len(h)
-            best_w = np.minimum.reduceat(tied, starts, axis=0)
             take = (best > cur) | ((best == cur) & (best_w < parents[:, None]))
             dmax_w[parents] += take * (best_w - parents[:, None])
     if winners:

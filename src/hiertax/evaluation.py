@@ -3,8 +3,9 @@
 Decoding assigns each pixel the root-to-leaf path with the highest score
 sum, computed in a single bottom-up pass over the hierarchy's per-depth
 sibling tables, a block of ``coherence.BLOCK_ELEMS // |V|`` rows at a time;
-ties resolve to the smallest leaf id. Evaluation merges predictions into
-each hierarchy level and reports per-class IoU plus the level mean.
+ties resolve to the smallest leaf id. Evaluation counts one leaf confusion
+matrix and sums it into each hierarchy level for per-class IoU plus the
+level mean.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import row_blocks
-from .fields import IGNORE, LabelField, ScoreField
+from .coherence import row_blocks, sibling_max
+from .fields import LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
 
@@ -39,10 +40,7 @@ def decode_batch(h: ClassHierarchy, s: np.ndarray) -> np.ndarray:
         best = s[rows].T.copy()
         leaf = np.broadcast_to(np.arange(len(h))[:, None], best.shape).copy()
         for kids, starts, parents, group in h.bottom_up:
-            sub = best[kids]
-            top = np.maximum.reduceat(sub, starts, axis=0)
-            tied = np.where(sub == top[group], leaf[kids], len(h))
-            leaf[parents] = np.minimum.reduceat(tied, starts, axis=0)
+            top, leaf[parents] = sibling_max(best, leaf, kids, starts, group)
             best[parents] += top
         out[rows] = leaf[h.root]
     return out
@@ -64,65 +62,10 @@ def decode_field(h: ClassHierarchy, scores: ScoreField) -> LabelField:
     return LabelField(leaf=leaves.reshape(scores.height, scores.width))
 
 
-def level_ancestor_map(h: ClassHierarchy, level: int) -> np.ndarray:
-    """For each node, its merge target at the given level (read-only).
-
-    The target is the node's highest ancestor whose level does not exceed
-    the requested one; in balanced trees this is the exact level-``level``
-    ancestor, and nodes on short branches keep their own identity.
-    """
-    if not 1 <= level <= h.height + 1:
-        raise ValueError(f"level {level} out of range [1, {h.height + 1}]")
-    return h.level_targets[level - 1]
-
-
-def merge_to_level(h: ClassHierarchy, labels: LabelField, level: int) -> LabelField:
-    """Relabel each pixel to its ancestor at the given hierarchy level."""
-    labels.check_hierarchy(h)
-    mapping = level_ancestor_map(h, level)
-    flat = labels.leaf.reshape(-1)
-    out = flat.copy()
-    valid = flat != IGNORE
-    out[valid] = mapping[flat[valid].astype(np.int64)].astype(np.uint32)
-    return LabelField(leaf=out.reshape(labels.leaf.shape))
-
-
-def level_class_set(h: ClassHierarchy, level: int) -> list[int]:
-    """Distinct merge targets reachable from the leaves at a level."""
-    mapping = level_ancestor_map(h, level)
-    return sorted({int(mapping[leaf]) for leaf in h.leaves})
-
-
-def miou(pred: LabelField, gt: LabelField, class_set, level: int = 1) -> LevelScore:
-    """Per-class IoU and the mean over classes present on either side.
-
-    Pixels with an ignored ground truth are excluded entirely; classes
-    with an empty union are dropped from the mean.
-    """
-    if (pred.height, pred.width) != (gt.height, gt.width):
-        raise ValueError("prediction and ground truth dimensions differ")
-    pv = pred.leaf.reshape(-1)
-    gv = gt.leaf.reshape(-1)
-    valid = gv != IGNORE
-    pv, gv = pv[valid], gv[valid]
-    iou: dict[int, float] = {}
-    for c in class_set:
-        in_pred = pv == c
-        in_gt = gv == c
-        union = int(np.count_nonzero(in_pred | in_gt))
-        if union == 0:
-            continue
-        inter = int(np.count_nonzero(in_pred & in_gt))
-        iou[int(c)] = inter / union
-    if not iou:
-        raise ValueError("no class from the set occurs in prediction or ground truth")
-    return LevelScore(level=level, iou=iou, miou=float(np.mean(list(iou.values()))))
-
-
 def evaluate_all_levels(
     h: ClassHierarchy, scores: ScoreField, gt: LabelField
 ) -> list[LevelScore]:
-    """Decode, then merge and score every hierarchy level from leaves to root."""
+    """Decode, then score every hierarchy level from leaves to root."""
     pred = decode_field(h, scores)
     return evaluate_prediction_levels(h, pred, gt)
 
@@ -130,9 +73,36 @@ def evaluate_all_levels(
 def evaluate_prediction_levels(
     h: ClassHierarchy, pred: LabelField, gt: LabelField
 ) -> list[LevelScore]:
+    """Per-class IoU and mIoU at every level, leaves to root, in one pass.
+
+    One leaf confusion matrix is counted over the pixels with a valid
+    ground truth; an ignored prediction falls in an extra column, so it
+    matches no class but still counts in its ground-truth class's union.
+    Level ``L``'s counts are that matrix summed through
+    ``h.level_targets[L - 1]``. Classes with an empty union are dropped.
+    """
+    pred.check_hierarchy(h)
+    gt.check_hierarchy(h)
+    if (pred.height, pred.width) != (gt.height, gt.width):
+        raise ValueError("prediction and ground truth dimensions differ")
+    n = len(h)
+    # Valid ids are below n, so the minimum only moves IGNORE to row or
+    # column n; row n, the pixels with an ignored ground truth, is dropped.
+    codes = np.minimum(gt.leaf.reshape(-1), n).astype(np.int64)
+    codes *= n + 1
+    codes += np.minimum(pred.leaf.reshape(-1), n)
+    conf = np.bincount(codes, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)[:n]
     out = []
     for level in range(1, h.height + 2):
-        merged_pred = merge_to_level(h, pred, level)
-        merged_gt = merge_to_level(h, gt, level)
-        out.append(miou(merged_pred, merged_gt, level_class_set(h, level), level=level))
+        targets = h.level_targets[level - 1]
+        counts = np.zeros((n, n + 1), dtype=np.int64)
+        np.add.at(counts, (targets[:, None], np.append(targets, n)), conf)
+        inter = counts.diagonal()
+        union = counts.sum(axis=1) + counts[:, :n].sum(axis=0) - inter
+        # Only leaf targets hold counts, so these are the level's classes
+        # with a non-empty union, in id order.
+        iou = {c: int(inter[c]) / int(union[c]) for c in np.flatnonzero(union).tolist()}
+        if not iou:
+            raise ValueError("no class from the set occurs in prediction or ground truth")
+        out.append(LevelScore(level=level, iou=iou, miou=float(np.mean(list(iou.values())))))
     return out

@@ -23,7 +23,9 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma <= 0:
+        if self.pixels_per_class < 1:
+            raise ValueError(f"pixels_per_class must be >= 1, got {self.pixels_per_class}")
+        if not self.noise_sigma > 0:
             raise ValueError("noise_sigma must be positive")
 
 

@@ -61,12 +61,6 @@ class ClassHierarchy:
         if not 0 <= v < len(self.nodes):
             raise TaxonomyError(f"node id {v} out of range [0, {len(self.nodes)})")
 
-    def name_to_id(self, name: str) -> int:
-        try:
-            return self.nodes.index(name)
-        except ValueError:
-            raise TaxonomyError(f"unknown class name {name!r}") from None
-
     def is_leaf(self, v: int) -> bool:
         self._check_id(v)
         return len(self.children[v]) == 0

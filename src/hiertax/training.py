@@ -68,6 +68,10 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.beta_kind not in ("cosine", "constant"):
             raise ValueError(f"unknown beta schedule {self.beta_kind!r}")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.triplet_count < 0:
+            raise ValueError(f"triplet_count must be >= 0, got {self.triplet_count}")
 
     def beta(self, step: int) -> float:
         if self.beta_kind == "constant":

@@ -16,7 +16,7 @@ from hiertax.coherence import (
     propagate,
 )
 from hiertax.embedding import tree_triplet_loss, triplet_margin
-from hiertax.evaluation import decode_path, level_class_set, merge_to_level, miou
+from hiertax.evaluation import decode_path, evaluate_prediction_levels
 from hiertax.fields import LabelField
 from hiertax.gradcheck import central_difference, gradcheck_loss, random_hierarchy, relative_error
 from hiertax.losses import FocalConfig, bce_loss, focal_loss, focal_tree_min_loss, tree_min_loss
@@ -163,28 +163,27 @@ def test_5_margin_law(tiny, three_level):
 
 
 def test_6_metric_oracle(three_level):
-    """IoU and level merging agree with brute-force pixel counting."""
+    """Per-level IoU agrees with level merging and brute-force pixel counting."""
     rng = np.random.default_rng(6)
     h = three_level
     bad = 0
     for _ in range(5):
         pred = LabelField(rng.choice(h.leaves, size=(32, 32)).astype(np.uint32))
         gt = LabelField(rng.choice(h.leaves, size=(32, 32)).astype(np.uint32))
-        for level in (1, 2, 3):
-            mp = merge_to_level(h, pred, level)
-            mg = merge_to_level(h, gt, level)
+        levels = evaluate_prediction_levels(h, pred, gt)
+        if [ls.level for ls in levels] != [1, 2, 3]:
+            bad += 1
+        for score in levels:
             # merge oracle: last ancestor at or below the level, per pixel
+            mp, mg = pred.leaf.copy(), gt.leaf.copy()
             for field, merged in ((pred, mp), (gt, mg)):
                 for v in np.unique(field.leaf):
                     chain = h.ancestor_chain(int(v))
-                    want = [u for u in chain if h.level[u] <= level][-1]
-                    if not np.all(merged.leaf[field.leaf == v] == want):
-                        bad += 1
-            score = miou(mp, mg, level_class_set(h, level))
+                    merged[field.leaf == v] = [u for u in chain if h.level[u] <= score.level][-1]
             oracle = {}
-            for c in score.iou:
-                inter = int(((mp.leaf == c) & (mg.leaf == c)).sum())
-                union = int(((mp.leaf == c) | (mg.leaf == c)).sum())
+            for c in sorted({int(v) for v in np.unique(mp)} | {int(v) for v in np.unique(mg)}):
+                inter = int(((mp == c) & (mg == c)).sum())
+                union = int(((mp == c) | (mg == c)).sum())
                 oracle[c] = inter / union
             if oracle != score.iou:
                 bad += 1

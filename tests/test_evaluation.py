@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hiertax.coherence import check_negative_constraint, check_positive_constraint, expand_labels
 from hiertax.evaluation import (
+    LevelScore,
     decode_field,
     decode_path,
     evaluate_all_levels,
-    level_class_set,
-    merge_to_level,
-    miou,
+    evaluate_prediction_levels,
 )
 from hiertax.fields import IGNORE, LabelField, ScoreField
 from hiertax.gradcheck import random_hierarchy
 from hiertax.taxonomy import ClassHierarchy, build_hierarchy
+
+from test_tree_dp import PROPERTY
 
 
 def enumerate_best_leaf(h: ClassHierarchy, s: np.ndarray) -> int:
@@ -25,6 +28,70 @@ def enumerate_best_leaf(h: ClassHierarchy, s: np.ndarray) -> int:
         if total > best_total or (total == best_total and path[0] < best_leaf):
             best_total, best_leaf = total, path[0]
     return best_leaf
+
+
+def reference_merge_to_level(h: ClassHierarchy, labels: LabelField, level: int) -> LabelField:
+    """Relabel each pixel to its ancestor at the given hierarchy level."""
+    labels.check_hierarchy(h)
+    mapping = h.level_targets[level - 1]
+    flat = labels.leaf.reshape(-1)
+    out = flat.copy()
+    valid = flat != IGNORE
+    out[valid] = mapping[flat[valid].astype(np.int64)].astype(np.uint32)
+    return LabelField(leaf=out.reshape(labels.leaf.shape))
+
+
+def reference_level_class_set(h: ClassHierarchy, level: int) -> list[int]:
+    """Distinct merge targets reachable from the leaves at a level."""
+    mapping = h.level_targets[level - 1]
+    return sorted({int(mapping[leaf]) for leaf in h.leaves})
+
+
+def reference_miou(pred: LabelField, gt: LabelField, class_set, level: int = 1) -> LevelScore:
+    """Per-class IoU and the mean over classes present on either side.
+
+    Pixels with an ignored ground truth are excluded entirely; classes
+    with an empty union are dropped from the mean.
+    """
+    if (pred.height, pred.width) != (gt.height, gt.width):
+        raise ValueError("prediction and ground truth dimensions differ")
+    pv = pred.leaf.reshape(-1)
+    gv = gt.leaf.reshape(-1)
+    valid = gv != IGNORE
+    pv, gv = pv[valid], gv[valid]
+    iou: dict[int, float] = {}
+    for c in class_set:
+        in_pred = pv == c
+        in_gt = gv == c
+        union = int(np.count_nonzero(in_pred | in_gt))
+        if union == 0:
+            continue
+        inter = int(np.count_nonzero(in_pred & in_gt))
+        iou[int(c)] = inter / union
+    if not iou:
+        raise ValueError("no class from the set occurs in prediction or ground truth")
+    return LevelScore(level=level, iou=iou, miou=float(np.mean(list(iou.values()))))
+
+
+def reference_levels(h: ClassHierarchy, pred: LabelField, gt: LabelField) -> list[LevelScore]:
+    """Merge both fields to each level, then count IoU per class."""
+    out = []
+    for level in range(1, h.height + 2):
+        merged_pred = reference_merge_to_level(h, pred, level)
+        merged_gt = reference_merge_to_level(h, gt, level)
+        out.append(reference_miou(
+            merged_pred, merged_gt, reference_level_class_set(h, level), level=level
+        ))
+    return out
+
+
+def _outcome(fn, *args):
+    """Comparable result of an evaluation: its scores, or the error it raised."""
+    try:
+        return [(ls.level, [(type(c), c, v) for c, v in ls.iou.items()], repr(ls.miou))
+                for ls in fn(*args)]
+    except ValueError as e:
+        return ("raised", str(e))
 
 
 class TestDecode:
@@ -82,76 +149,115 @@ class TestDecode:
         assert decode_path(three_level, s) == decode_path(three_level, s + 0.3)
 
 
+def _walk_merge(h: ClassHierarchy, leaf: np.ndarray, level: int) -> np.ndarray:
+    """Per pixel, the last node of its leaf's ancestor chain at or below the level."""
+    out = leaf.copy()
+    for idx, v in np.ndenumerate(leaf):
+        out[idx] = [u for u in h.ancestor_chain(int(v)) if h.level[u] <= level][-1]
+    return out
+
+
 class TestMergeToLevel:
     def test_level_one_is_identity(self, three_level):
         labels = LabelField(np.array([[5, 7], [12, IGNORE]], dtype=np.uint32))
-        merged = merge_to_level(three_level, labels, 1)
-        assert np.array_equal(merged.leaf, labels.leaf)
+        first = evaluate_prediction_levels(three_level, labels, labels)[0]
+        assert first.level == 1 and first.iou == {5: 1.0, 7: 1.0, 12: 1.0}
 
     def test_top_level_is_root(self, three_level):
-        labels = LabelField(np.array([[5, 7]], dtype=np.uint32))
-        merged = merge_to_level(three_level, labels, three_level.height + 1)
-        assert np.all(merged.leaf == three_level.root)
+        pred = LabelField(np.array([[5, 7]], dtype=np.uint32))
+        gt = LabelField(np.array([[8, 12]], dtype=np.uint32))
+        top = evaluate_prediction_levels(three_level, pred, gt)[-1]
+        assert top.level == three_level.height + 1
+        assert top.iou == {three_level.root: 1.0} and top.miou == 1.0
 
     def test_ancestor_walk_oracle(self, three_level):
         rng = np.random.default_rng(3)
-        labels = LabelField(rng.choice(three_level.leaves, size=(6, 6)).astype(np.uint32))
-        for level in range(1, three_level.height + 2):
-            merged = merge_to_level(three_level, labels, level)
-            for i in range(6):
-                for j in range(6):
-                    chain = three_level.ancestor_chain(int(labels.leaf[i, j]))
-                    want = [u for u in chain if three_level.level[u] <= level][-1]
-                    assert merged.leaf[i, j] == want
-
-    def test_level_out_of_range(self, three_level):
-        labels = LabelField(np.array([[5]], dtype=np.uint32))
-        with pytest.raises(ValueError, match="out of range"):
-            merge_to_level(three_level, labels, 99)
+        pred = LabelField(rng.choice(three_level.leaves, size=(6, 6)).astype(np.uint32))
+        gt = LabelField(rng.choice(three_level.leaves, size=(6, 6)).astype(np.uint32))
+        for ls in evaluate_prediction_levels(three_level, pred, gt):
+            mp = _walk_merge(three_level, pred.leaf, ls.level)
+            mg = _walk_merge(three_level, gt.leaf, ls.level)
+            assert np.array_equal(mp, reference_merge_to_level(three_level, pred, ls.level).leaf)
+            want = {}
+            for c in sorted(set(mp.ravel().tolist()) | set(mg.ravel().tolist())):
+                union = int(((mp == c) | (mg == c)).sum())
+                want[c] = int(((mp == c) & (mg == c)).sum()) / union
+            assert ls.iou == want
 
 
 class TestMiou:
     def test_perfect_prediction(self, three_level):
         labels = LabelField(np.random.default_rng(4).choice(
             three_level.leaves, size=(8, 8)).astype(np.uint32))
-        score = miou(labels, labels, list(three_level.leaves))
-        assert score.miou == 1.0
+        assert all(ls.miou == 1.0 for ls in evaluate_prediction_levels(three_level, labels, labels))
 
     def test_disjoint_single_classes(self, three_level):
         a = LabelField(np.full((4, 4), three_level.leaves[0], dtype=np.uint32))
         b = LabelField(np.full((4, 4), three_level.leaves[1], dtype=np.uint32))
-        score = miou(a, b, list(three_level.leaves))
-        assert score.miou == 0.0
+        assert evaluate_prediction_levels(three_level, a, b)[0].miou == 0.0
 
-    def test_counting_oracle_two_class(self):
+    def test_counting_oracle_two_class(self, tiny):
         rng = np.random.default_rng(5)
-        pred = LabelField(rng.integers(0, 2, size=(16, 16)).astype(np.uint32))
-        gt = LabelField(rng.integers(0, 2, size=(16, 16)).astype(np.uint32))
-        score = miou(pred, gt, [0, 1])
-        for c in (0, 1):
+        pred = LabelField(rng.choice([3, 4], size=(16, 16)).astype(np.uint32))
+        gt = LabelField(rng.choice([3, 4], size=(16, 16)).astype(np.uint32))
+        score = evaluate_prediction_levels(tiny, pred, gt)[0]
+        assert list(score.iou) == [3, 4]
+        for c in (3, 4):
             inter = int(((pred.leaf == c) & (gt.leaf == c)).sum())
             union = int(((pred.leaf == c) | (gt.leaf == c)).sum())
             assert score.iou[c] == inter / union
-        assert score.miou == pytest.approx(np.mean([score.iou[0], score.iou[1]]))
+        assert score.miou == np.mean([score.iou[3], score.iou[4]])
 
-    def test_dim_mismatch(self):
+    def test_dim_mismatch(self, tiny):
         with pytest.raises(ValueError, match="dimensions"):
-            miou(
-                LabelField(np.zeros((2, 2), dtype=np.uint32)),
-                LabelField(np.zeros((3, 2), dtype=np.uint32)),
-                [0],
+            evaluate_prediction_levels(
+                tiny,
+                LabelField(np.full((2, 2), 3, dtype=np.uint32)),
+                LabelField(np.full((3, 2), 3, dtype=np.uint32)),
             )
 
-    def test_empty_class_set(self):
-        a = LabelField(np.zeros((2, 2), dtype=np.uint32))
+    def test_empty_class_set(self, tiny):
+        pred = LabelField(np.full((2, 2), 3, dtype=np.uint32))
+        gt = LabelField(np.full((2, 2), IGNORE, dtype=np.uint32))
         with pytest.raises(ValueError, match="no class"):
-            miou(a, a, [7])
+            evaluate_prediction_levels(tiny, pred, gt)
 
-    def test_ignored_pixels_excluded(self):
-        pred = LabelField(np.array([[0, 1]], dtype=np.uint32))
-        gt = LabelField(np.array([[0, IGNORE]], dtype=np.uint32))
-        score = miou(pred, gt, [0, 1])
-        assert score.iou == {0: 1.0}  # class 1 never appears on a counted pixel
+    def test_ignored_pixels_excluded(self, tiny):
+        pred = LabelField(np.array([[3, 4]], dtype=np.uint32))
+        gt = LabelField(np.array([[3, IGNORE]], dtype=np.uint32))
+        score = evaluate_prediction_levels(tiny, pred, gt)[0]
+        assert score.iou == {3: 1.0}  # leaf 4 never appears on a counted pixel
+
+    def test_ignored_prediction_counts_only_in_gt_union(self, tiny):
+        pred = LabelField(np.array([[3, IGNORE]], dtype=np.uint32))
+        gt = LabelField(np.array([[3, 3]], dtype=np.uint32))
+        levels = evaluate_prediction_levels(tiny, pred, gt)
+        assert [ls.iou for ls in levels] == [{3: 0.5}, {1: 0.5}, {0: 0.5}]
+
+    def test_non_leaf_prediction_rejected(self, tiny):
+        pred = LabelField(np.array([[3, 1]], dtype=np.uint32))
+        gt = LabelField(np.array([[3, 4]], dtype=np.uint32))
+        with pytest.raises(ValueError, match="non-leaf"):
+            evaluate_prediction_levels(tiny, pred, gt)
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(1, 39),
+        gt_ignored=st.sampled_from([0.0, 0.3, 1.0]),
+        pred_ignored=st.sampled_from([0.0, 0.3]),
+    )
+    def test_matches_merge_and_count_reference(self, seed, n_nodes, gt_ignored, pred_ignored):
+        rng = np.random.default_rng(seed)
+        h = random_hierarchy(rng, n_nodes)
+        shape = tuple(rng.integers(1, 9, size=2))
+        fields = []
+        for share in (pred_ignored, gt_ignored):
+            leaf = rng.choice(np.array(h.leaves, dtype=np.uint32), size=shape)
+            leaf[rng.random(shape) < share] = IGNORE
+            fields.append(LabelField(leaf))
+        got = _outcome(evaluate_prediction_levels, h, *fields)
+        assert got == _outcome(reference_levels, h, *fields)
 
 
 class TestEvaluateAllLevels:
@@ -170,10 +276,8 @@ class TestEvaluateAllLevels:
         rng = np.random.default_rng(7)
         pred = LabelField(rng.choice(three_level.leaves, size=(10, 10)).astype(np.uint32))
         gt = LabelField(rng.choice(three_level.leaves, size=(10, 10)).astype(np.uint32))
-        level = 2
-        merged_pred = merge_to_level(three_level, pred, level)
-        merged_gt = merge_to_level(three_level, gt, level)
-        direct = miou(merged_pred, merged_gt, level_class_set(three_level, level))
+        direct = evaluate_prediction_levels(three_level, pred, gt)[1]
+        assert direct.level == 2
         # counting on pre-merged ids gives identical integer counts
         for c in direct.iou:
             members = [v for v in three_level.leaves
@@ -186,12 +290,6 @@ class TestEvaluateAllLevels:
         # leaves 5 and 6 share g1: confusing them hurts level 1 but not level 2
         gt = LabelField(np.full((4, 4), 5, dtype=np.uint32))
         pred = LabelField(np.full((4, 4), 6, dtype=np.uint32))
-        pred_levels = []
-        for level in (1, 2, 3):
-            merged_pred = merge_to_level(three_level, pred, level)
-            merged_gt = merge_to_level(three_level, gt, level)
-            pred_levels.append(
-                miou(merged_pred, merged_gt, level_class_set(three_level, level)).miou
-            )
+        pred_levels = [ls.miou for ls in evaluate_prediction_levels(three_level, pred, gt)]
         assert pred_levels[0] == 0.0
         assert pred_levels[1] == 1.0 and pred_levels[2] == 1.0

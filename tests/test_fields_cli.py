@@ -148,6 +148,21 @@ class TestTrainToyConfig:
         assert config["use_triplet"] is True
 
 
+@pytest.mark.parametrize("args", [
+    ["--iterations", "-5"],
+    ["--triplet-count", "-3", "--use-triplet"],
+    ["--pixels-per-class", "0"],
+    ["--noise-sigma", "nan"],
+])
+def test_train_toy_rejects_out_of_range_values(tmp_path, args, capsys):
+    out = tmp_path / "out"
+    rc = main(["train-toy", "--tax", f"{TAX_DIR}/pascal_person_part.tax",
+               "--out-dir", str(out), "--iterations", "2", "--pixels-per-class", "5", *args])
+    assert rc == EXIT_VALIDATION
+    assert "validation failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_gradcheck_rejects_no_trials(trials, capsys):
     assert main(["gradcheck", "--loss", "ftm", "--trials", trials]) == EXIT_VALIDATION

@@ -193,3 +193,19 @@ class TestReportFiles:
         assert "violation_rate" in metrics and "miou" in metrics
         svg = (tmp_path / "loss_curve.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_benchmark_tracer_binds_to_library(monkeypatch):
+    """The benchmark's tracer wraps every function it lists, at every site."""
+    import hiertax.cli  # noqa: F401  (the benchmark loads the CLI before tracing)
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracer
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert sorted(t.sites) == sorted(tracer.function_names())
+        assert all(t.sites.values())
+    finally:
+        t.uninstall()
