@@ -6,7 +6,7 @@ descendants, which guarantees the resulting vector satisfies both
 hierarchy constraints restricted by the label expansion. Self-sets include
 the node itself.
 
-The batch functions share one tree DP, ``tree_extrema``: ancestor-min runs
+Batch propagation runs one tree DP, ``tree_extrema``: ancestor-min runs
 top-down (``amin[v] = min(s[v], amin[parent v])``) and descendant-max runs
 bottom-up, one ``np.maximum.reduceat`` per depth. Winners are reduced
 lexicographically on (value, node id), so ties resolve to the smallest node
@@ -70,6 +70,28 @@ def check_negative_constraint(
     _check_threshold(threshold)
     hit = h.ancestor_mask.T & (s > s[:, None]) & (s <= threshold)[:, None]
     return [(int(v), int(u)) for v, u in zip(*np.nonzero(hit))]
+
+
+def coherence_violation_rate(h: ClassHierarchy, s: np.ndarray) -> float:
+    """Share of (N, |V|) score rows that break a constraint at some threshold.
+
+    That is the share of rows where some node scores above its parent,
+    whatever the threshold: between a node and a lower ancestor (or a
+    higher descendant) the score rises across some parent edge, which
+    violates for the child if it is above the threshold and for the parent
+    otherwise. Raises ``ValueError`` for a NaN score or a width other than |V|.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim != 2 or s.shape[1] != len(h):
+        raise ValueError(f"expected scores of shape (N, {len(h)}), got {s.shape}")
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
+    viol = np.zeros(s.shape[0], dtype=bool)
+    for rows in row_blocks(h, s.shape[0]):
+        b = s[rows]
+        for nodes, parents in h.top_down:
+            viol[rows] |= (b[:, nodes] > b[:, parents]).any(axis=1)
+    return float(viol.mean()) if s.shape[0] else 0.0
 
 
 def _validate_expansion(h: ClassHierarchy, labels: np.ndarray) -> None:

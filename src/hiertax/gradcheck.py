@@ -73,18 +73,13 @@ def gradcheck_loss(
             numeric = central_difference(f, y, step)
         else:
             s = tie_free_scores(rng, len(h))
-            if loss_name == "bce":
-                fn = lambda s: losses.bce_loss(s, labels).value
-                analytic = losses.bce_loss(s, labels).grad
-            elif loss_name == "focal":
-                fn = lambda s: losses.focal_loss(s, labels, cfg).value
-                analytic = losses.focal_loss(s, labels, cfg).grad
-            elif loss_name == "tm":
-                fn = lambda s: losses.tree_min_loss(h, s, labels).value
-                analytic = losses.tree_min_loss(h, s, labels).grad
-            else:
-                fn = lambda s: losses.focal_tree_min_loss(h, s, labels, cfg).value
-                analytic = losses.focal_tree_min_loss(h, s, labels, cfg).grad
-            numeric = central_difference(fn, s, step)
+            loss = {
+                "bce": lambda s: losses.bce_loss(s, labels),
+                "focal": lambda s: losses.focal_loss(s, labels, cfg),
+                "tm": lambda s: losses.tree_min_loss(h, s, labels),
+                "ftm": lambda s: losses.focal_tree_min_loss(h, s, labels, cfg),
+            }[loss_name]
+            analytic = loss(s).grad
+            numeric = central_difference(lambda s: loss(s).value, s, step)
         worst = max(worst, relative_error(analytic, numeric))
     return worst

@@ -3,6 +3,7 @@ taxonomy: leaves that are close in the tree get close cluster centers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,10 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.pixels_per_class < 1:
             raise ValueError(f"pixels_per_class must be >= 1, got {self.pixels_per_class}")
-        if not self.noise_sigma > 0:
-            raise ValueError("noise_sigma must be positive")
+        if not 0 < self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
+        if not math.isfinite(self.center_scale):
+            raise ValueError(f"center_scale must be finite, got {self.center_scale}")
 
 
 def leaf_centers(h: ClassHierarchy, dim: int, scale: float = 1.0) -> np.ndarray:

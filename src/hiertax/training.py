@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coherence import row_blocks, tree_extrema
+from .coherence import coherence_violation_rate
 from .embedding import (
     DEFAULT_MARGIN_BASE,
     DEFAULT_TRIPLET_COUNT,
@@ -72,6 +72,12 @@ class TrainConfig:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.triplet_count < 0:
             raise ValueError(f"triplet_count must be >= 0, got {self.triplet_count}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("gamma", "margin_base", "beta_max"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def beta(self, step: int) -> float:
         if self.beta_kind == "constant":
@@ -87,9 +93,6 @@ class ToyScorer:
     def logits(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight + self.bias
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.logits(x)))
-
 
 @dataclass
 class TrainReport:
@@ -100,24 +103,6 @@ class TrainReport:
     violation_rate: float
     config: TrainConfig
     scorer: ToyScorer
-
-
-def coherence_violation_rate(
-    h: ClassHierarchy, s: np.ndarray, threshold: float = 0.5
-) -> float:
-    """Fraction of score rows with at least one hierarchy-constraint violation.
-
-    A node above the threshold violates when some ancestor scores lower; a
-    node at or below it, when some descendant scores higher.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    viol = np.zeros(s.shape[0], dtype=bool)
-    for rows in row_blocks(h, s.shape[0]):
-        amin, dmax = tree_extrema(h, s[rows])
-        st = s[rows].T
-        above = st > threshold
-        viol[rows] = ((above & (amin < st)) | (~above & (dmax > st))).any(axis=0)
-    return float(viol.mean()) if s.shape[0] else 0.0
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -2,10 +2,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hiertax.taxonomy import ClassHierarchy, build_hierarchy
 
 TAX_DIR = str(Path(__file__).resolve().parent.parent / "src" / "hiertax" / "data")
+
+# Every property test draws 40 examples, the same ones on every run, with
+# no deadline and no example database.
+settings.register_profile("hiertax", max_examples=40, deadline=None, derandomize=True, database=None)
+settings.load_profile("hiertax")
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import pytest
 from hiertax.coherence import (
     check_negative_constraint,
     check_positive_constraint,
+    coherence_violation_rate,
     expand_labels,
     propagate,
     propagate_batch,
@@ -165,3 +166,28 @@ def test_batch_kernels_reject_non_leaf_ids(tiny, bad_id):
     for call in calls:
         with pytest.raises(ValueError, match=f"label id {bad_id} is not a leaf"):
             call()
+
+
+def test_violation_rate_flags_each_rising_edge(tiny):
+    """A row counts when a child at any depth scores strictly above its
+    parent; ties and falling edges do not count."""
+    s = np.array([
+        [0.5, 0.5, 0.5, 0.5, 0.5],  # all tied
+        [0.2, 0.3, 0.1, 0.1, 0.1],  # A above the root (depth 1)
+        [0.9, 0.5, 0.5, 0.6, 0.1],  # a1 above A (depth 2)
+        [0.9, 0.8, 0.7, 0.1, 0.2],  # falling on every edge
+    ])
+    assert [coherence_violation_rate(tiny, row[None]) for row in s] == [0.0, 1.0, 1.0, 0.0]
+    assert coherence_violation_rate(tiny, s) == 0.5
+    assert coherence_violation_rate(tiny, np.empty((0, len(tiny)))) == 0.0
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.array([[0.1, 0.2, 0.3, 0.4, 0.5], [0.1, 0.2, np.nan, 0.4, 0.5]]), "NaN"),
+    (np.zeros((2, 4)), "shape"),
+    (np.zeros((2, 6)), "shape"),
+    (np.zeros(5), "shape"),
+])
+def test_violation_rate_rejects_nan_and_wrong_width(tiny, bad, match):
+    with pytest.raises(ValueError, match=match):
+        coherence_violation_rate(tiny, bad)

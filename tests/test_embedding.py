@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import hiertax.training as training
@@ -21,8 +21,6 @@ from hiertax.gradcheck import central_difference, random_hierarchy, relative_err
 from hiertax.synthetic import SyntheticConfig, generate_synthetic
 from hiertax.taxonomy import build_hierarchy
 from hiertax.training import TrainConfig, train
-
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 class TestCosineDistance:
@@ -140,7 +138,6 @@ class TestSampleTriplets:
             )
 
 
-@PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30), n=st.integers(3, 12))
 def test_triplet_feasibility_matches_per_anchor_scan(seed, n_nodes, n):
     rng = np.random.default_rng(seed)
@@ -196,7 +193,6 @@ def reference_sample_triplets(h, batch_labels, count=200, rng_seed=0, margin_bas
     return out
 
 
-@PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_nodes=st.integers(2, 30),

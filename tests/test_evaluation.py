@@ -15,8 +15,6 @@ from hiertax.fields import IGNORE, LabelField, ScoreField
 from hiertax.gradcheck import random_hierarchy
 from hiertax.taxonomy import ClassHierarchy, build_hierarchy
 
-from test_tree_dp import PROPERTY
-
 
 def enumerate_best_leaf(h: ClassHierarchy, s: np.ndarray) -> int:
     """Exhaustive path-enumeration oracle with the same tie-break."""
@@ -240,7 +238,6 @@ class TestMiou:
         with pytest.raises(ValueError, match="non-leaf"):
             evaluate_prediction_levels(tiny, pred, gt)
 
-    @PROPERTY
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_nodes=st.integers(1, 39),

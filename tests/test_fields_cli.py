@@ -153,13 +153,26 @@ class TestTrainToyConfig:
     ["--triplet-count", "-3", "--use-triplet"],
     ["--pixels-per-class", "0"],
     ["--noise-sigma", "nan"],
+    ["--noise-sigma", "inf"],
+    ["--center-scale", "nan"],
+    ["--lr", "-1"],
+    ["--lr", "0"],
+    ["--lr", "nan"],
+    ["--gamma", "nan"],
+    ["--gamma", "inf"],
+    ["--margin-base", "-1", "--use-triplet"],
+    ["--margin-base", "nan", "--use-triplet"],
+    ["--beta-max", "-1", "--use-triplet"],
+    ["--beta-max", "nan", "--use-triplet"],
 ])
 def test_train_toy_rejects_out_of_range_values(tmp_path, args, capsys):
     out = tmp_path / "out"
     rc = main(["train-toy", "--tax", f"{TAX_DIR}/pascal_person_part.tax",
                "--out-dir", str(out), "--iterations", "2", "--pixels-per-class", "5", *args])
     assert rc == EXIT_VALIDATION
-    assert "validation failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "validation failure" in err
+    assert args[0][2:].replace("-", "_") in err  # the message names the value
     assert not out.exists()
 
 

@@ -153,7 +153,7 @@ class TestTraining:
         s = rng.uniform(0, 1, size=(50, len(three_level)))
         rate = coherence_violation_rate(three_level, s)
         assert 0.0 <= rate <= 1.0
-        # all-zero scores violate nothing: no node clears the threshold
+        # all-zero scores violate nothing: no node outscores its parent
         assert coherence_violation_rate(three_level, np.zeros((4, len(three_level)))) == 0.0
 
 

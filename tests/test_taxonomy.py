@@ -3,7 +3,7 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hiertax.gradcheck import random_hierarchy
@@ -142,7 +142,6 @@ def test_triangle_inequality(tiny):
         assert tiny.dist[u, w] <= tiny.dist[u, v] + tiny.dist[v, w]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 60))
 def test_leaf_index_and_level_targets_match_chain_walks(seed, n_nodes):
     h = random_hierarchy(np.random.default_rng(seed), n_nodes)
