@@ -147,7 +147,12 @@ def propagate_grad(
 
 
 def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -> ScoreField:
-    """Per-pixel propagate over a whole field; ignored pixels pass through."""
+    """Per-pixel propagate over a whole field; ignored pixels pass through.
+
+    The result keeps the input's dtype: propagation only copies scores, so
+    a float32 field is propagated one row block at a time into a float32
+    copy with no loss.
+    """
     scores.check_hierarchy(h)
     labels.check_hierarchy(h)
     if (scores.height, scores.width) != (labels.height, labels.width):
@@ -155,9 +160,10 @@ def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -
     flat_s = scores.scores.reshape(-1, len(h))
     flat_l = labels.leaf.reshape(-1)
     out = flat_s.copy()
-    valid = flat_l != IGNORE
-    if valid.any():
-        out[valid] = propagate_batch(h, flat_s[valid], flat_l[valid].astype(np.int64))
+    for rows in row_blocks(h, flat_l.size):
+        leaf = flat_l[rows]
+        valid = leaf != IGNORE
+        out[rows][valid] = propagate_batch(h, flat_s[rows][valid], leaf[valid].astype(np.int64))
     return ScoreField(scores=out.reshape(scores.scores.shape))
 
 

@@ -31,13 +31,14 @@ def decode_batch(h: ClassHierarchy, s: np.ndarray) -> np.ndarray:
 
     Per node the best suffix sum and its leaf are kept, reduced
     lexicographically: highest sum first, then smallest leaf id.
-    Accumulation runs leaf-to-root so float results match per-path
-    sequential summation exactly.
+    Accumulation runs leaf-to-root in float64, one row block widened at a
+    time, so float results match per-path sequential summation exactly
+    whatever the input's float dtype.
     """
-    s = np.asarray(s, dtype=np.float64)
+    s = np.asarray(s)
     out = np.empty(s.shape[0], dtype=np.int64)
     for rows in row_blocks(h, s.shape[0]):
-        best = s[rows].T.copy()
+        best = np.array(s[rows].T, dtype=np.float64, order="C")
         leaf = np.broadcast_to(np.arange(len(h))[:, None], best.shape).copy()
         for kids, starts, parents, group in h.bottom_up:
             top, leaf[parents] = sibling_max(best, leaf, kids, starts, group)

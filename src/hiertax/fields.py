@@ -7,10 +7,20 @@ row-major order with the class axis fastest.
 Label fields (``.hslf``): magic ``HSLF``, two little-endian uint32 dims
 (H, W), then H*W little-endian uint32 leaf ids; 0xFFFFFFFF marks ignored
 pixels.
+
+``ScoreField`` keeps a float32 array as float32, so a field read from a
+file stays in the file's precision and is never widened as a whole; any
+other dtype is converted to float64. Readers check the header against the
+file size before they allocate, then read the payload straight into one
+array; writers write the array's buffer as it is. The field paths
+(``propagate_field``, ``field_loss``, ``decode_field``) widen one row
+block at a time, so their temporaries are block-sized whatever the field.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -32,10 +42,12 @@ class FieldFormatError(ValueError):
 class ScoreField:
     """H x W grid of per-class score vectors in [0, 1]."""
 
-    scores: np.ndarray  # (H, W, |V|) float
+    scores: np.ndarray  # (H, W, |V|) float32 or float64
 
     def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64)
+        s = np.asarray(self.scores)
+        if s.dtype != np.float32:
+            s = s.astype(np.float64, copy=False)
         if s.ndim != 3:
             raise ValueError(f"scores must be 3-d (H, W, classes), got shape {s.shape}")
         if np.any(s < 0.0) or np.any(s > 1.0) or not np.all(np.isfinite(s)):
@@ -90,41 +102,45 @@ class LabelField:
             raise ValueError("label field contains non-leaf ids for this hierarchy")
 
 
+def _read_payload(path, magic: bytes, ndim: int, dtype: str, kind: str) -> np.ndarray:
+    """The payload of a field file as one fresh array of the header's shape.
+
+    The file size is checked against the header before anything is
+    allocated, so a corrupt header cannot ask for more than the file holds.
+    """
+    head_len = 4 + 4 * ndim
+    with open(path, "rb") as f:
+        head = f.read(head_len)
+        if len(head) < head_len or head[:4] != magic:
+            raise FieldFormatError(f"not a {kind} field file (bad magic)")
+        shape = struct.unpack(f"<{ndim}I", head[4:])
+        expect = head_len + 4 * math.prod(shape)
+        got = os.fstat(f.fileno()).st_size
+        if got != expect:
+            raise FieldFormatError(f"truncated {kind} field: expected {expect} bytes, got {got}")
+        data = np.empty(shape, dtype=dtype)
+        if f.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
+            raise FieldFormatError(f"truncated {kind} field: file shrank while reading")
+    return data
+
+
 def write_score_field(path, field: ScoreField) -> None:
     with open(path, "wb") as f:
         f.write(_SCORE_MAGIC)
         f.write(struct.pack("<III", field.height, field.width, field.num_classes))
-        f.write(field.scores.astype("<f4").tobytes())
+        f.write(np.ascontiguousarray(field.scores, dtype="<f4"))
 
 
 def read_score_field(path) -> ScoreField:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16 or raw[:4] != _SCORE_MAGIC:
-        raise FieldFormatError("not a score field file (bad magic)")
-    h, w, c = struct.unpack("<III", raw[4:16])
-    expect = 16 + 4 * h * w * c
-    if len(raw) != expect:
-        raise FieldFormatError(f"truncated score field: expected {expect} bytes, got {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f4", offset=16).reshape(h, w, c)
-    return ScoreField(scores=data.astype(np.float64))
+    return ScoreField(scores=_read_payload(path, _SCORE_MAGIC, 3, "<f4", "score"))
 
 
 def write_label_field(path, field: LabelField) -> None:
     with open(path, "wb") as f:
         f.write(_LABEL_MAGIC)
         f.write(struct.pack("<II", field.height, field.width))
-        f.write(field.leaf.astype("<u4").tobytes())
+        f.write(np.ascontiguousarray(field.leaf, dtype="<u4"))
 
 
 def read_label_field(path) -> LabelField:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 12 or raw[:4] != _LABEL_MAGIC:
-        raise FieldFormatError("not a label field file (bad magic)")
-    h, w = struct.unpack("<II", raw[4:12])
-    expect = 12 + 4 * h * w
-    if len(raw) != expect:
-        raise FieldFormatError(f"truncated label field: expected {expect} bytes, got {len(raw)}")
-    data = np.frombuffer(raw, dtype="<u4", offset=12).reshape(h, w)
-    return LabelField(leaf=data.copy())
+    return LabelField(leaf=_read_payload(path, _LABEL_MAGIC, 2, "<u4", "label"))

@@ -14,6 +14,7 @@ ties to the smallest node id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class FocalConfig:
     grad_through_modulator: bool = True
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
         if not 0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
 
@@ -208,18 +209,30 @@ def field_loss(
     which: str,
     cfg: FocalConfig | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Mean per-pixel loss over non-ignored pixels plus the gradient field."""
+    """Mean per-pixel loss over non-ignored pixels plus the float64
+    gradient field.
+
+    ``batch_loss`` runs on one row block's valid pixels at a time, so only
+    that block is widened to float64. The per-pixel values are gathered in
+    pixel order and summed once, as over the whole field.
+    """
     scores.check_hierarchy(h)
     gt.check_hierarchy(h)
     if (scores.height, scores.width) != (gt.height, gt.width):
         raise ValueError("score and label fields have mismatched dimensions")
     flat_s = scores.scores.reshape(-1, len(h))
     flat_l = gt.leaf.reshape(-1)
-    valid = flat_l != IGNORE
-    grad = np.zeros_like(flat_s)
-    if not valid.any():
+    grad = np.zeros(flat_s.shape)
+    n = int(np.count_nonzero(flat_l != IGNORE))
+    if n == 0:
         return 0.0, grad.reshape(scores.scores.shape)
-    values, grads = batch_loss(h, flat_s[valid], flat_l[valid].astype(np.int64), which, cfg)
-    n = int(valid.sum())
-    grad[valid] = grads / n
+    values = np.empty(n)
+    done = 0
+    for rows in row_blocks(h, flat_l.size):
+        leaf = flat_l[rows]
+        valid = leaf != IGNORE
+        v, g = batch_loss(h, flat_s[rows][valid], leaf[valid].astype(np.int64), which, cfg)
+        values[done:done + v.size] = v
+        done += v.size
+        grad[rows][valid] = g / n
     return float(values.sum() / n), grad.reshape(scores.scores.shape)

@@ -1,3 +1,5 @@
+import contextlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +7,17 @@ import pytest
 from hypothesis import settings
 
 from hiertax.taxonomy import ClassHierarchy, build_hierarchy
+
+# To report a failing property test, hypothesis's pytest plugin imports
+# hypothesis.extra._patching, which imports libcst, which emits a
+# DeprecationWarning on import. Under filterwarnings = ["error"] that
+# warning ends the whole session with INTERNALERROR after the first
+# failure. Importing the module once here, with DeprecationWarning alone
+# ignored, leaves it loaded for the plugin.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    with contextlib.suppress(ImportError):
+        import hypothesis.extra._patching  # noqa: F401
 
 TAX_DIR = str(Path(__file__).resolve().parent.parent / "src" / "hiertax" / "data")
 

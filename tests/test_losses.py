@@ -84,6 +84,11 @@ class TestFocal:
         with pytest.raises(ValueError, match="gamma"):
             FocalConfig(gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            FocalConfig(gamma=gamma)
+
 
 class TestTreeMin:
     def test_coherent_perfect_is_zero(self, tiny):

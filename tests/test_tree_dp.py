@@ -198,18 +198,27 @@ def test_callers_scores_are_never_modified(n_rows):
     np.testing.assert_array_equal(s, before)
 
 
+# The children report VmHWM, their own peak RSS since exec. Their
+# ru_maxrss would start at the peak RSS of the process that spawned them,
+# which in a full pytest session can exceed anything the child does.
+PEAK_KB_CODE = """\
+def peak_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+"""
+
 PEAK_RSS_CODE = """\
-import json, resource, sys
+import json, sys
 import numpy as np
 import hiertax
 from hiertax.losses import batch_loss
 h = hiertax.load_taxonomy(sys.argv[1])
-base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+base = peak_kb()
 rng = np.random.default_rng(0)
 s = rng.random((int(sys.argv[2]), len(h)))
 leaf_ids = rng.choice(np.array(h.leaves), size=s.shape[0])
 values, grad = batch_loss(h, s, leaf_ids, "ftm")
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+peak = peak_kb()
 print(json.dumps({"base_kb": base, "peak_kb": peak,
                   "io_bytes": s.nbytes + leaf_ids.nbytes + values.nbytes + grad.nbytes}))
 """
@@ -219,16 +228,54 @@ print(json.dumps({"base_kb": base, "peak_kb": peak,
 # temporary.
 RSS_MARGIN_MB = 48
 
+FIELD_RSS_CODE = """\
+import json, sys
+import numpy as np
+import hiertax
+from hiertax.fields import IGNORE, LabelField, ScoreField
+h = hiertax.load_taxonomy(sys.argv[1])
+height, width = 250, 400
+base = peak_kb()
+rng = np.random.default_rng(0)
+scores = ScoreField(rng.random((height, width, len(h)), dtype=np.float32))
+leaf = np.array(h.leaves, dtype=np.uint32)[rng.integers(0, len(h.leaves), size=(height, width))]
+leaf[rng.random((height, width)) < 0.1] = IGNORE
+labels = LabelField(leaf)
+prop = hiertax.propagate_field(h, scores, labels)
+value, grad = hiertax.field_loss(h, scores, labels, "ftm")
+pred = hiertax.decode_field(h, scores)
+peak = peak_kb()
+print(json.dumps({"base_kb": base, "peak_kb": peak, "io_bytes": scores.scores.nbytes
+                  + labels.leaf.nbytes + prop.scores.nbytes + grad.nbytes + pred.leaf.nbytes}))
+"""
 
-def test_batch_loss_peak_rss_is_inputs_plus_outputs():
+# Room above inputs plus outputs for ScoreField's range check (one bool
+# per score, 14 MB here), the row-block temporaries and the allocator; a
+# whole-field float64 copy of the (100k, 145) scores is 116 MB.
+FIELD_RSS_MARGIN_MB = 32
+
+
+def _grown_and_io_mb(code: str, *args: str) -> tuple[float, float]:
+    """Peak RSS growth of a child running ``code`` on the Mapillary tree,
+    and the bytes of the inputs and outputs it reports, both in MB."""
     tax = os.path.join(SRC, "hiertax", "data", "mapillary_vistas.tax")
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_CODE, tax, "100000"],
+        [sys.executable, "-c", PEAK_KB_CODE + code, tax, *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
-    grown_mb = (got["peak_kb"] - got["base_kb"]) / 1024
-    io_mb = got["io_bytes"] / 2**20
+    return (got["peak_kb"] - got["base_kb"]) / 1024, got["io_bytes"] / 2**20
+
+
+def test_batch_loss_peak_rss_is_inputs_plus_outputs():
+    grown_mb, io_mb = _grown_and_io_mb(PEAK_RSS_CODE, "100000")
     assert grown_mb <= io_mb + RSS_MARGIN_MB, (grown_mb, io_mb)
+
+
+def test_field_paths_peak_rss_is_inputs_plus_outputs():
+    """propagate_field, field_loss(ftm) and decode_field on a float32
+    (100k, 145) field."""
+    grown_mb, io_mb = _grown_and_io_mb(FIELD_RSS_CODE)
+    assert grown_mb <= io_mb + FIELD_RSS_MARGIN_MB, (grown_mb, io_mb)
