@@ -231,15 +231,25 @@ def tree_extrema(h: ClassHierarchy, s: np.ndarray, winners: bool = False) -> tup
     return amin, dmax
 
 
-def _leaf_rows(h: ClassHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
-    """Label expansions of ``leaf_ids`` as (N, |V|) ``ancestor_mask`` rows.
+def _leaf_positions(h: ClassHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
+    """Positions of ``leaf_ids`` in ``h.leaves``.
 
     Raises ``ValueError`` naming the first id that is not a leaf of ``h``.
     """
     ids = np.asarray(leaf_ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= len(h) or (h.leaf_index[ids] < 0).any()):
-        bad = next(v for v in ids.ravel().tolist() if not 0 <= v < len(h) or h.leaf_index[v] < 0)
-        raise ValueError(f"label id {bad} is not a leaf of the hierarchy")
+    if not ids.size or (ids.min() >= 0 and ids.max() < len(h)):
+        pos = h.leaf_index[ids]
+        if not pos.size or pos.min() >= 0:
+            return pos
+    bad = next(v for v in ids.ravel().tolist() if not 0 <= v < len(h) or h.leaf_index[v] < 0)
+    raise ValueError(f"label id {bad} is not a leaf of the hierarchy")
+
+
+def _leaf_rows(h: ClassHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
+    """Label expansions of ``leaf_ids`` as (N, |V|) ``ancestor_mask`` rows;
+    raises as ``_leaf_positions`` does."""
+    ids = np.asarray(leaf_ids)
+    _leaf_positions(h, ids)
     return h.ancestor_mask[ids]
 
 

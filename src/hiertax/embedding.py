@@ -46,16 +46,6 @@ def cosine_distance(x, y) -> float:
     return float(0.5 * (1.0 - x @ y / (np.linalg.norm(x) * np.linalg.norm(y))))
 
 
-def _cosine_distance_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Distance plus its gradients with respect to both inputs."""
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    dot = x @ y
-    d = 0.5 * (1.0 - dot / (nx * ny))
-    gx = -0.5 * (y / (nx * ny) - dot * x / (nx**3 * ny))
-    gy = -0.5 * (x / (nx * ny) - dot * y / (nx * ny**3))
-    return float(d), gx, gy
-
-
 def triplet_margin(
     h: ClassHierarchy,
     anchor_leaf: int,
@@ -77,24 +67,12 @@ def triplet_margin(
 
 
 def tree_triplet_loss(a, p, n, margin: float) -> TripletLossReport:
-    """Hinge on cosine distances: max(d(a,p) - d(a,n) + margin, 0).
-
-    The boundary subgradient routes as active; the inactive side has
-    exactly zero gradient.
-    """
-    a, p, n = _checked(a), _checked(p), _checked(n)
-    d_ap, g_a_p, g_p = _cosine_distance_grad(a, p)
-    d_an, g_a_n, g_n = _cosine_distance_grad(a, n)
-    arg = d_ap - d_an + margin
-    if arg < 0.0:
-        zero = np.zeros_like(a)
-        return TripletLossReport(0.0, zero, np.zeros_like(p), np.zeros_like(n))
-    return TripletLossReport(
-        value=float(arg),
-        grad_anchor=g_a_p - g_a_n,
-        grad_pos=g_p,
-        grad_neg=-g_n,
+    """Hinge on cosine distances, max(d(a,p) - d(a,n) + margin, 0), for one
+    triplet of vectors: the one-row call of ``batch_triplet_loss``."""
+    value, g_a, g_p, g_n = batch_triplet_loss(
+        np.asarray(a)[None], np.asarray(p)[None], np.asarray(n)[None], [margin]
     )
+    return TripletLossReport(float(value[0]), g_a[0], g_p[0], g_n[0])
 
 
 def _has_triplet(dist: np.ndarray, labels: np.ndarray) -> bool:
@@ -172,11 +150,13 @@ def sample_triplets(
 def batch_triplet_loss(
     a: np.ndarray, p: np.ndarray, n: np.ndarray, margins: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``tree_triplet_loss`` for T triplets at once: rows of the (T, D)
-    arrays ``a``, ``p``, ``n`` with their (T,) ``margins``.
+    """Hinge on cosine distances, max(d(a,p) - d(a,n) + margin, 0), for T
+    triplets at once: rows of the (T, D) arrays ``a``, ``p``, ``n`` with
+    their (T,) ``margins``.
 
-    Returns the (T,) hinge values and the three (T, D) gradients; row t is
-    bit-identical to ``tree_triplet_loss(a[t], p[t], n[t], margins[t])``.
+    Returns the (T,) hinge values and the three (T, D) gradients. The
+    boundary subgradient routes as active; inactive rows have exactly zero
+    gradient. Raises ``ValueError`` for a zero or non-finite row norm.
     """
     a, p, n = (np.asarray(x, dtype=np.float64) for x in (a, p, n))
     (norm_a, cube_a), (norm_p, cube_p), (norm_n, cube_n) = (_checked_norms(x) for x in (a, p, n))
@@ -211,7 +191,8 @@ def _checked_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batch_cosine_distance_grad(x, y, nx, ny, nx3, ny3):
-    """``_cosine_distance_grad`` per row, given the (T, 1) norms and cubes."""
+    """Cosine distances of matching rows and their gradients with respect
+    to both inputs, given the (T, 1) norms and cubes."""
     dot = _row_dot(x, y)
     d = 0.5 * (1.0 - dot / (nx * ny))
     gx = -0.5 * (y / (nx * ny) - dot * x / (nx3 * ny))

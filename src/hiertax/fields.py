@@ -50,7 +50,9 @@ class ScoreField:
             s = s.astype(np.float64, copy=False)
         if s.ndim != 3:
             raise ValueError(f"scores must be 3-d (H, W, classes), got shape {s.shape}")
-        if np.any(s < 0.0) or np.any(s > 1.0) or not np.all(np.isfinite(s)):
+        # NaN propagates through min/max and +-inf falls outside the range,
+        # so no whole-field mask is needed; min() raises on an empty field.
+        if s.size and not (s.min() >= 0.0 and s.max() <= 1.0):
             raise ValueError("scores must lie in [0, 1]")
         self.scores = s
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .coherence import expand_labels
 from .taxonomy import ClassHierarchy, build_hierarchy
 
 
@@ -46,10 +45,24 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def _loss(h: ClassHierarchy, x: np.ndarray, leaf_ids: np.ndarray, loss_name: str, cfg):
+    """Value and gradient of one loss on a batch, as training computes them:
+    ``cce_loss`` on logits, or the row sum of ``batch_loss`` on scores."""
+    if loss_name == "cce":
+        return losses.cce_loss(h, x, leaf_ids)
+    values, grad = losses.batch_loss(h, x, leaf_ids, loss_name, cfg)
+    return float(values.sum()), grad
+
+
 def gradcheck_loss(
     loss_name: str, trials: int = 100, seed: int = 0, step: float = 1e-5
 ) -> float:
-    """Max relative error over seeded random instances of one loss."""
+    """Max relative error over seeded random 2-row batches of one loss.
+
+    Each trial draws a random tree, two leaf labels and tie-free scores per
+    row (used as logits for ``cce``), and compares the library kernel's
+    gradient with central differences of its value.
+    """
     if loss_name not in losses.LOSSES:
         raise ValueError(f"unknown loss {loss_name!r}; expected one of {losses.LOSSES}")
     if trials < 1:
@@ -59,27 +72,9 @@ def gradcheck_loss(
     worst = 0.0
     for _ in range(trials):
         h = random_hierarchy(rng, int(rng.integers(3, 13)))
-        leaf = int(rng.choice(h.leaves))
-        labels = expand_labels(h, leaf)
-        if loss_name == "cce":
-            y = rng.uniform(0.1, 1.0, size=len(h.leaves))
-            y = y / y.sum()
-
-            def f(y):
-                yc = np.clip(y, 1e-12, None)
-                return float(-np.log(yc[h.leaves.index(leaf)]))
-
-            analytic = losses.cce_loss(h, y, leaf).grad
-            numeric = central_difference(f, y, step)
-        else:
-            s = tie_free_scores(rng, len(h))
-            loss = {
-                "bce": lambda s: losses.bce_loss(s, labels),
-                "focal": lambda s: losses.focal_loss(s, labels, cfg),
-                "tm": lambda s: losses.tree_min_loss(h, s, labels),
-                "ftm": lambda s: losses.focal_tree_min_loss(h, s, labels, cfg),
-            }[loss_name]
-            analytic = loss(s).grad
-            numeric = central_difference(lambda s: loss(s).value, s, step)
+        leaf_ids = rng.choice(np.array(h.leaves), size=2)
+        x = np.stack([tie_free_scores(rng, len(h)) for _ in range(2)])
+        analytic = _loss(h, x, leaf_ids, loss_name, cfg)[1]
+        numeric = central_difference(lambda x: _loss(h, x, leaf_ids, loss_name, cfg)[0], x, step)
         worst = max(worst, relative_error(analytic, numeric))
     return worst

@@ -1,7 +1,8 @@
 """Classification losses over the hierarchy with analytic gradients.
 
 All losses report both the scalar value and the gradient with respect to
-their score input. Scores are clipped to [epsilon, 1 - epsilon] before any
+their input: leaf logits for the flat softmax ``cce_loss``, node scores in
+[0, 1] for the others. Scores are clipped to [epsilon, 1 - epsilon] before any
 logarithm so values stay finite at exact 0/1 predictions; gradients are
 evaluated at the clipped scores.
 
@@ -19,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _leaf_rows, propagate, propagate_batch_winners, propagate_grad, row_blocks
+from .coherence import (
+    _leaf_positions,
+    _leaf_rows,
+    propagate,
+    propagate_batch_winners,
+    propagate_grad,
+    row_blocks,
+)
 from .fields import IGNORE, LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
@@ -60,23 +68,33 @@ def _clip(x: np.ndarray, eps: float) -> np.ndarray:
     return np.clip(x, eps, 1.0 - eps)
 
 
-def cce_loss(h: ClassHierarchy, y: np.ndarray, leaf: int, epsilon: float = 1e-12) -> LossReport:
-    """Categorical cross-entropy over the leaf distribution.
+def cce_loss(
+    h: ClassHierarchy, logits: np.ndarray, leaf_ids: np.ndarray, epsilon: float = 1e-12
+) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the leaf logits of N rows.
 
-    ``y`` is indexed by leaf order (h.leaves); ``leaf`` is a node id.
+    ``logits`` is (N, |V|); internal nodes' logits are ignored and get zero
+    gradient. Returns the mean value and its (N, |V|) gradient with respect
+    to ``logits``. Raises ``ValueError`` naming the first label id that is
+    not a leaf of ``h``.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (len(h.leaves),):
-        raise ValueError(f"expected leaf vector of length {len(h.leaves)}, got {y.shape}")
-    if not h.is_leaf(leaf):
-        raise ValueError(f"node {leaf} is not a leaf")
-    if abs(float(y.sum()) - 1.0) > 1e-6:
-        raise ValueError("leaf scores must sum to 1")
-    idx = h.leaf_index[leaf]
-    yc = _clip(y, epsilon)
-    grad = np.zeros_like(y)
-    grad[idx] = -1.0 / yc[idx]
-    return LossReport(value=float(-np.log(yc[idx])), grad=grad)
+    logits = np.asarray(logits, dtype=np.float64)
+    targets = _leaf_positions(h, leaf_ids)
+    if logits.ndim != 2 or logits.shape[1] != len(h) or targets.shape != logits.shape[:1]:
+        raise ValueError(
+            f"expected (N, {len(h)}) logits and N leaf ids, got {logits.shape} and {targets.shape}"
+        )
+    leaves = np.array(h.leaves, dtype=np.int64)
+    z = logits[:, leaves]
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=1, keepdims=True)
+    n = logits.shape[0]
+    value = float(-np.log(np.clip(y[np.arange(n), targets], epsilon, None)).mean())
+    y[np.arange(n), targets] -= 1.0
+    grad = np.zeros_like(logits)
+    grad[:, leaves] = y / n
+    return value, grad
 
 
 def _bce_terms(p: np.ndarray, labels: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ import json
 import os
 from dataclasses import asdict
 
-from .training import TrainConfig, TrainReport
+from .training import TrainReport
 
 
 def run_artifacts(report: TrainReport) -> dict:
@@ -103,7 +103,3 @@ def _loss_curve_svg(losses: list[float], width: int = 640, height: int = 360) ->
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def config_from_artifacts(artifacts: dict) -> TrainConfig:
-    return TrainConfig(**artifacts["config"])

@@ -27,7 +27,7 @@ from .embedding import (
 )
 from .evaluation import LevelScore, decode_batch, evaluate_prediction_levels
 from .fields import LabelField
-from .losses import LOSSES, FocalConfig, batch_loss
+from .losses import LOSSES, FocalConfig, batch_loss, cce_loss
 from .synthetic import SyntheticConfig, generate_synthetic
 from .taxonomy import ClassHierarchy
 
@@ -105,23 +105,6 @@ class TrainReport:
     scorer: ToyScorer
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _cce_step(logits: np.ndarray, leaves: np.ndarray, targets: np.ndarray, eps: float):
-    """Softmax cross-entropy over the leaf logits; ``targets`` index ``leaves``."""
-    y = _softmax(logits[:, leaves])
-    n = logits.shape[0]
-    value = float(-np.log(np.clip(y[np.arange(n), targets], eps, None)).mean())
-    y[np.arange(n), targets] -= 1.0
-    grad = np.zeros_like(logits)
-    grad[:, leaves] = y / n
-    return value, grad
-
-
 def _sgd_step(params, vel: dict, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
     """Momentum SGD with weight decay on the named arrays of ``params``:
     ``v = m*v + (g + wd*p); p = p - lr*v``, each velocity starting at 0."""
@@ -149,11 +132,6 @@ def train(
     )
     scorer_vel: dict[str, np.ndarray] = {}
     focal = FocalConfig(gamma=cfg.gamma)
-    leaves = np.array(h.leaves, dtype=np.int64)
-    if cfg.loss == "cce":
-        targets = h.leaf_index[leaf_ids]
-        if (targets < 0).any():
-            raise ValueError("labels must be leaf node ids")
 
     proj = None
     proj_vel: dict[str, np.ndarray] = {}
@@ -167,7 +145,7 @@ def train(
     for step in range(cfg.iterations):
         logits = scorer.logits(x)
         if cfg.loss == "cce":
-            value, dlogits = _cce_step(logits, leaves, targets, focal.epsilon)
+            value, dlogits = cce_loss(h, logits, leaf_ids, focal.epsilon)
         else:
             s = 1.0 / (1.0 + np.exp(-logits))
             values, dvds = batch_loss(h, s, leaf_ids, cfg.loss, focal)
@@ -194,6 +172,7 @@ def train(
     logits = scorer.logits(flat_eval)
     s_eval = 1.0 / (1.0 + np.exp(-logits))
     if cfg.loss == "cce":
+        leaves = np.array(h.leaves, dtype=np.int64)
         pred_flat = leaves[logits[:, leaves].argmax(axis=1)]
     else:
         pred_flat = decode_batch(h, s_eval)

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 import hiertax.training as training
 from hiertax.embedding import (
+    _checked,
     _has_triplet,
     ProjectionParams,
     Triplet,
+    TripletLossReport,
     batch_triplet_loss,
     cosine_distance,
     init_projection,
@@ -231,6 +233,38 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
+def _cosine_distance_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Distance plus its gradients with respect to both inputs."""
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    dot = x @ y
+    d = 0.5 * (1.0 - dot / (nx * ny))
+    gx = -0.5 * (y / (nx * ny) - dot * x / (nx**3 * ny))
+    gy = -0.5 * (x / (nx * ny) - dot * y / (nx * ny**3))
+    return float(d), gx, gy
+
+
+def reference_tree_triplet_loss(a, p, n, margin: float) -> TripletLossReport:
+    """The per-triplet vector hinge that ``batch_triplet_loss`` replaced:
+    max(d(a,p) - d(a,n) + margin, 0) on one triplet of vectors.
+
+    The boundary subgradient routes as active; the inactive side has
+    exactly zero gradient.
+    """
+    a, p, n = _checked(a), _checked(p), _checked(n)
+    d_ap, g_a_p, g_p = _cosine_distance_grad(a, p)
+    d_an, g_a_n, g_n = _cosine_distance_grad(a, n)
+    arg = d_ap - d_an + margin
+    if arg < 0.0:
+        zero = np.zeros_like(a)
+        return TripletLossReport(0.0, zero, np.zeros_like(p), np.zeros_like(n))
+    return TripletLossReport(
+        value=float(arg),
+        grad_anchor=g_a_p - g_a_n,
+        grad_pos=g_p,
+        grad_neg=-g_n,
+    )
+
+
 class TestBatchTripletLoss:
     def _case(self, t=64, d=16):
         rng = np.random.default_rng(8)
@@ -247,11 +281,13 @@ class TestBatchTripletLoss:
         a, p, n, margins = self._case()
         values, g_a, g_p, g_n = batch_triplet_loss(a, p, n, margins)
         for r in range(len(margins)):
-            rep = tree_triplet_loss(a[r], p[r], n[r], margins[r])
-            assert _bits(values[r]) == _bits(rep.value), r
-            assert _bits(g_a[r]) == _bits(rep.grad_anchor), r
-            assert _bits(g_p[r]) == _bits(rep.grad_pos), r
-            assert _bits(g_n[r]) == _bits(rep.grad_neg), r
+            want = reference_tree_triplet_loss(a[r], p[r], n[r], margins[r])
+            one = tree_triplet_loss(a[r], p[r], n[r], margins[r])
+            for rep in (want, one):
+                assert _bits(values[r]) == _bits(rep.value), r
+                assert _bits(g_a[r]) == _bits(rep.grad_anchor), r
+                assert _bits(g_p[r]) == _bits(rep.grad_pos), r
+                assert _bits(g_n[r]) == _bits(rep.grad_neg), r
         assert values[0] == 0.0 and not (g_a[0].any() or g_p[0].any() or g_n[0].any())
         # the boundary routes as active: zero value, nonzero gradient
         assert values[1] == 0.0 and g_a[1].any()
@@ -264,6 +300,8 @@ class TestBatchTripletLoss:
         args[which] = args[which].copy()
         args[which][5] = bad
         with pytest.raises(ValueError, match="nonzero norm"):
+            reference_tree_triplet_loss(args[0][5], args[1][5], args[2][5], 0.3)
+        with pytest.raises(ValueError, match="nonzero norm"):
             tree_triplet_loss(args[0][5], args[1][5], args[2][5], 0.3)
         with pytest.raises(ValueError, match="nonzero norm"):
             batch_triplet_loss(*args, np.full(len(args[0]), 0.3))
@@ -271,7 +309,7 @@ class TestBatchTripletLoss:
 
 def reference_triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng):
     """The per-triplet projection step that ``training._triplet_step``
-    replaced, on the per-draw sampler and the scalar hinge."""
+    replaced, on the per-draw sampler and the per-triplet hinge."""
     step_seed = int(rng.integers(0, 2**63 - 1))
     triplets = reference_sample_triplets(
         h, leaf_ids, count=cfg.triplet_count, rng_seed=step_seed, margin_base=cfg.margin_base
@@ -287,7 +325,7 @@ def reference_triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng):
     for i, t in enumerate(triplets):
         if not (z[i, 0].any() and z[i, 1].any() and z[i, 2].any()):
             continue
-        rep = tree_triplet_loss(z[i, 0], z[i, 1], z[i, 2], t.margin)
+        rep = reference_tree_triplet_loss(z[i, 0], z[i, 1], z[i, 2], t.margin)
         total += rep.value
         upstream[i, 0] = rep.grad_anchor
         upstream[i, 1] = rep.grad_pos

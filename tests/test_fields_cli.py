@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hiertax.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from hiertax import losses
+from hiertax.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from hiertax.coherence import expand_labels, propagate
 from hiertax.fields import (
     IGNORE,
@@ -51,8 +52,19 @@ class TestFieldFormats:
             read_label_field(path)
 
     def test_score_range_validated(self):
-        with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            ScoreField(np.full((1, 1, 2), 1.5))
+        for dtype in (np.float32, np.float64):
+            for bad in (np.nan, np.inf, -np.inf, 1.5, -0.1):
+                s = np.full((2, 3, 4), 0.5, dtype=dtype)
+                s[1, 2, 3] = bad
+                with pytest.raises(ValueError, match="\\[0, 1\\]"):
+                    ScoreField(s)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_score_range_bounds_and_empty_accepted(self, dtype):
+        s = np.full((2, 3, 4), 0.5, dtype=dtype)
+        s[0, 0] = [0.0, 1.0, -0.0, 1.0]
+        assert ScoreField(s).scores.dtype == dtype
+        assert ScoreField(np.zeros((0, 3, 4), dtype=dtype)).scores.size == 0
 
 
 class TestCli:
@@ -174,6 +186,22 @@ def test_train_toy_rejects_out_of_range_values(tmp_path, args, capsys):
     assert "validation failure" in err
     assert args[0][2:].replace("-", "_") in err  # the message names the value
     assert not out.exists()
+
+
+@pytest.mark.parametrize("loss, kernel", [("ftm", "batch_loss"), ("cce", "cce_loss")])
+def test_gradcheck_fails_on_a_wrong_kernel_gradient(loss, kernel, monkeypatch, capsys):
+    """gradcheck differentiates the kernels training calls, so a gradient
+    1% off in one of them fails the command."""
+    assert main(["gradcheck", "--loss", loss, "--trials", "5"]) == EXIT_OK
+    real = getattr(losses, kernel)
+
+    def skewed(*args, **kwargs):
+        value, grad = real(*args, **kwargs)
+        return value, grad * 1.01
+
+    monkeypatch.setattr(losses, kernel, skewed)
+    assert main(["gradcheck", "--loss", loss, "--trials", "5"]) == EXIT_NUMERICAL
+    assert "gradient check failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

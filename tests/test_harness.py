@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from hiertax.fields import IGNORE, LabelField
+from hiertax.gradcheck import central_difference, relative_error
+from hiertax.losses import LOSSES, batch_loss, cce_loss
 from hiertax.report import (
-    config_from_artifacts,
     load_run_json,
     run_artifacts,
     write_report_files,
@@ -148,6 +150,49 @@ class TestTraining:
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="non-finite"):
             run_toy(syn, TrainConfig(iterations=30, lr=1e25, loss="bce"), three_level)
 
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("bad", ["ignored", "out_of_range", "internal"])
+    def test_non_leaf_label_rejected(self, three_level, loss, bad):
+        features, labels, h = generate_synthetic(
+            SyntheticConfig(feature_dim=8, pixels_per_class=5, seed=0), three_level
+        )
+        label = {"ignored": IGNORE, "out_of_range": len(h), "internal": 2}[bad]
+        leaf = labels.leaf.copy()
+        leaf.flat[7] = label
+        with pytest.raises(ValueError, match=f"label id {label} is not a leaf"):
+            train(features, LabelField(leaf), h, TrainConfig(iterations=2, loss=loss))
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_sgd_step_is_the_mean_loss_gradient(self, three_level, loss):
+        """With lr 1 and no momentum or decay, one step moves the scorer by
+        the gradient of the mean loss over its weight and bias."""
+        h = three_level
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(4, 6, 3))
+        labels = LabelField(rng.choice(np.array(h.leaves), size=(4, 6)))
+        x = features.reshape(-1, 3)
+        leaf_ids = labels.leaf.reshape(-1).astype(np.int64)
+
+        def scorer(iterations):
+            cfg = TrainConfig(
+                iterations=iterations, lr=1.0, momentum=0.0, weight_decay=0.0, loss=loss, seed=5
+            )
+            return train(features, labels, h, cfg).scorer
+
+        def mean_loss(weight, bias):
+            logits = x @ weight + bias
+            if loss == "cce":
+                return cce_loss(h, logits, leaf_ids)[0]
+            s = 1.0 / (1.0 + np.exp(-logits))
+            return float(batch_loss(h, s, leaf_ids, loss)[0].mean())
+
+        before, after = scorer(0), scorer(1)
+        w0, b0 = before.weight, before.bias
+        num_w = central_difference(lambda w: mean_loss(w, b0), w0.copy(), 1e-7)
+        num_b = central_difference(lambda b: mean_loss(w0, b), b0.copy(), 1e-7)
+        assert relative_error(w0 - after.weight, num_w) < 1e-6
+        assert relative_error(b0 - after.bias, num_b) < 1e-6
+
     def test_violation_rate_bounds(self, three_level):
         rng = np.random.default_rng(7)
         s = rng.uniform(0, 1, size=(50, len(three_level)))
@@ -169,7 +214,7 @@ class TestReportFiles:
         write_run_json(path, report)
         artifacts = load_run_json(path)
         assert artifacts == run_artifacts(report)
-        assert config_from_artifacts(artifacts) == report.config
+        assert TrainConfig(**artifacts["config"]) == report.config
 
     def test_report_files_byte_deterministic(self, three_level, tmp_path):
         report = self._report(three_level)

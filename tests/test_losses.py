@@ -25,21 +25,40 @@ from hiertax.losses import (
 
 class TestCCE:
     def test_one_hot_is_zero(self, tiny):
-        y = np.zeros(len(tiny.leaves))
-        y[0] = 1.0
-        assert cce_loss(tiny, y, tiny.leaves[0]).value == pytest.approx(0.0, abs=1e-10)
+        logits = np.zeros((2, len(tiny)))
+        logits[0, 3] = logits[1, 4] = 50.0
+        value, grad = cce_loss(tiny, logits, [3, 4])
+        assert value == pytest.approx(0.0, abs=1e-10)
+        assert np.abs(grad).max() < 1e-10
 
     def test_uniform_is_log_k(self, tiny):
         k = len(tiny.leaves)
-        y = np.full(k, 1.0 / k)
-        assert cce_loss(tiny, y, tiny.leaves[1]).value == pytest.approx(math.log(k))
+        value, grad = cce_loss(tiny, np.full((3, len(tiny)), 0.7), [3, 4, 2])
+        assert value == pytest.approx(math.log(k))
+        # softmax minus the one-hot target, over the mean's 3 rows
+        assert grad[0, 3] == pytest.approx((1.0 / k - 1.0) / 3)
+        assert grad[0, 2] == pytest.approx(1.0 / k / 3)
 
-    def test_rejects_non_leaf_and_bad_normalization(self, tiny):
-        y = np.full(len(tiny.leaves), 1.0 / len(tiny.leaves))
-        with pytest.raises(ValueError, match="not a leaf"):
-            cce_loss(tiny, y, tiny.root)
-        with pytest.raises(ValueError, match="sum to 1"):
-            cce_loss(tiny, y * 2, tiny.leaves[0])
+    def test_internal_logits_ignored(self, tiny):
+        rng = np.random.default_rng(0)
+        logits = rng.normal(size=(4, len(tiny)))
+        value, grad = cce_loss(tiny, logits, [3, 2, 4, 3])
+        internal = [v for v in range(len(tiny)) if v not in tiny.leaves]
+        logits[:, internal] += 100.0
+        assert cce_loss(tiny, logits, [3, 2, 4, 3])[0] == value
+        assert not grad[:, internal].any()
+        assert grad.sum(axis=1) == pytest.approx(0.0, abs=1e-15)
+
+    def test_rejects_non_leaf(self, tiny):
+        for bad in (0, 1, 5, IGNORE, -1):
+            with pytest.raises(ValueError, match=f"label id {bad} is not a leaf"):
+                cce_loss(tiny, np.zeros((2, len(tiny))), np.array([3, bad], dtype=np.int64))
+
+    def test_rejects_shape_mismatch(self, tiny):
+        with pytest.raises(ValueError, match="logits"):
+            cce_loss(tiny, np.zeros((3, len(tiny))), [3, 4])
+        with pytest.raises(ValueError, match="logits"):
+            cce_loss(tiny, np.zeros((2, len(tiny.leaves))), [3, 4])
 
     def test_gradcheck(self):
         assert gradcheck_loss("cce", trials=25, seed=11) < 1e-4

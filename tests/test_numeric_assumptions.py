@@ -35,7 +35,8 @@ def test_stacked_matmul_equals_per_row_dot():
     want = np.array([x[t] @ y[t] for t in range(len(x))])
     assert _row_dot(x, y)[:, 0].tobytes() == want.tobytes(), (
         "assumption broken: stacked np.matmul over rows no longer rounds like the "
-        "per-row x @ y (BLAS dot), so batch_triplet_loss would drift from tree_triplet_loss"
+        "per-row x @ y (BLAS dot), so batch_triplet_loss would drift from "
+        "reference_tree_triplet_loss in tests/test_embedding.py"
     )
     norms = np.array([np.linalg.norm(v) for v in x])
     assert _checked_norms(x)[0][:, 0].tobytes() == norms.tobytes(), (
@@ -50,5 +51,5 @@ def test_elementwise_cube_equals_scalar_float64_cube():
     want = np.array([np.float64(u) ** 3 for u in norms[:, 0]])
     assert cubes[:, 0].tobytes() == want.tobytes(), (
         "assumption broken: cubing Python floats no longer equals np.float64 ** 3, "
-        "the norm cube that _cosine_distance_grad computes"
+        "the norm cube that _cosine_distance_grad in tests/test_embedding.py computes"
     )
