@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import os
 import sys
 
@@ -144,9 +145,13 @@ def eval_cmd(tax, pred, gt, csv_path):
 @click.option("--tolerance", default=1e-4, show_default=True)
 def gradcheck_cmd(loss, trials, seed, tolerance):
     """Compare analytic gradients against central finite differences."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise click.BadParameter(
+            f"must be finite and positive, got {tolerance}", param_hint="--tolerance"
+        )
     worst = gradcheck_loss(loss, trials=trials, seed=seed)
     click.echo(f"{loss}: max relative error {worst:.3e} over {trials} trials")
-    if worst > tolerance:
+    if not worst <= tolerance:  # a NaN error fails too
         raise TrainingDivergedError(f"gradient check failed: {worst:.3e} > {tolerance:.1e}")
 
 

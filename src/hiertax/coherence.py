@@ -10,12 +10,15 @@ Batch propagation runs one tree DP, ``tree_extrema``: ancestor-min runs
 top-down (``amin[v] = min(s[v], amin[parent v])``) and descendant-max runs
 bottom-up, one ``np.maximum.reduceat`` per depth. Winners are reduced
 lexicographically on (value, node id), so ties resolve to the smallest node
-id. The DP works node-major on a copy of one block of at most
-``BLOCK_ELEMS // |V|`` rows (at least one row) at a time, which keeps its
-temporaries small whatever N is; results do not depend on the blocking.
+id. ``propagate_batch`` and ``propagate_batch_winners`` are block kernels:
+the DP works node-major on a copy of the one row block they are given, and
+their callers pass ``row_blocks`` of at most ``BLOCK_ELEMS // |V|`` rows (at
+least one), which keeps temporaries small; results do not depend on N.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -153,17 +156,11 @@ def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -
     a float32 field is propagated one row block at a time into a float32
     copy with no loss.
     """
-    scores.check_hierarchy(h)
-    labels.check_hierarchy(h)
-    if (scores.height, scores.width) != (labels.height, labels.width):
-        raise ValueError("score and label fields have mismatched dimensions")
+    blocks = field_blocks(h, scores, labels)
     flat_s = scores.scores.reshape(-1, len(h))
-    flat_l = labels.leaf.reshape(-1)
     out = flat_s.copy()
-    for rows in row_blocks(h, flat_l.size):
-        leaf = flat_l[rows]
-        valid = leaf != IGNORE
-        out[rows][valid] = propagate_batch(h, flat_s[rows][valid], leaf[valid].astype(np.int64))
+    for rows, valid, ids in blocks:
+        out[rows][valid] = propagate_batch(h, flat_s[rows][valid], ids)
     return ScoreField(scores=out.reshape(scores.scores.shape))
 
 
@@ -174,6 +171,24 @@ def row_blocks(h: ClassHierarchy, n: int) -> list[slice]:
     """Slices of at most ``BLOCK_ELEMS // |V|`` rows (at least one) covering n rows."""
     step = max(1, BLOCK_ELEMS // len(h))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def field_blocks(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -> Iterator:
+    """Check a score and a label field against ``h`` and each other, then
+    walk them in ``row_blocks``, yielding ``(rows, valid, ids)``: a block's
+    slice of the flattened fields, its non-ignored pixels' mask and their
+    int64 leaf ids. The checks run before the caller reshapes or allocates.
+    """
+    scores.check_hierarchy(h)
+    labels.check_hierarchy(h)
+    if (scores.height, scores.width) != (labels.height, labels.width):
+        raise ValueError("score and label fields have mismatched dimensions")
+    flat_l = labels.leaf.reshape(-1)
+    valid = flat_l != IGNORE
+    return (
+        (rows, valid[rows], flat_l[rows][valid[rows]].astype(np.int64))
+        for rows in row_blocks(h, flat_l.size)
+    )
 
 
 def sibling_max(
@@ -231,54 +246,31 @@ def tree_extrema(h: ClassHierarchy, s: np.ndarray, winners: bool = False) -> tup
     return amin, dmax
 
 
-def _leaf_positions(h: ClassHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
-    """Positions of ``leaf_ids`` in ``h.leaves``.
-
-    Raises ``ValueError`` naming the first id that is not a leaf of ``h``.
-    """
-    ids = np.asarray(leaf_ids)
-    if not ids.size or (ids.min() >= 0 and ids.max() < len(h)):
-        pos = h.leaf_index[ids]
-        if not pos.size or pos.min() >= 0:
-            return pos
-    bad = next(v for v in ids.ravel().tolist() if not 0 <= v < len(h) or h.leaf_index[v] < 0)
-    raise ValueError(f"label id {bad} is not a leaf of the hierarchy")
-
-
 def _leaf_rows(h: ClassHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
     """Label expansions of ``leaf_ids`` as (N, |V|) ``ancestor_mask`` rows;
-    raises as ``_leaf_positions`` does."""
+    raises as ``ClassHierarchy.leaf_positions`` does."""
     ids = np.asarray(leaf_ids)
-    _leaf_positions(h, ids)
+    h.leaf_positions(ids)
     return h.ancestor_mask[ids]
 
 
 def propagate_batch(h: ClassHierarchy, s: np.ndarray, leaf_ids: np.ndarray) -> np.ndarray:
-    """Vectorized propagate for N score vectors with per-row leaf labels."""
-    s = np.asarray(s, dtype=np.float64)
-    leaf_ids = np.asarray(leaf_ids)
-    p = np.empty(s.shape)
-    for rows in row_blocks(h, s.shape[0]):
-        amin, dmax = tree_extrema(h, s[rows])
-        pos = _leaf_rows(h, leaf_ids[rows]).T
-        p[rows] = np.where(pos, amin, dmax).T
-    return p
+    """Vectorized propagate for one row block of score vectors with per-row
+    leaf labels; the caller keeps the block small (see ``row_blocks``)."""
+    amin, dmax = tree_extrema(h, np.asarray(s, dtype=np.float64))
+    return np.ascontiguousarray(np.where(_leaf_rows(h, leaf_ids).T, amin, dmax).T)
 
 
 def propagate_batch_winners(
     h: ClassHierarchy, s: np.ndarray, leaf_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized propagate returning (p, winners, positive-mask).
+    """Vectorized propagate for one row block, returning (p, winners,
+    positive-mask); the caller keeps the block small (see ``row_blocks``).
 
     Winner ties resolve to the smallest node id.
     """
-    s = np.asarray(s, dtype=np.float64)
     pos = _leaf_rows(h, leaf_ids)
-    p = np.empty(s.shape)
-    winners = np.empty(s.shape, dtype=np.int64)
-    for rows in row_blocks(h, s.shape[0]):
-        amin, dmax, amin_w, dmax_w = tree_extrema(h, s[rows], winners=True)
-        pos_t = pos[rows].T
-        p[rows] = np.where(pos_t, amin, dmax).T
-        winners[rows] = np.where(pos_t, amin_w, dmax_w).T
+    amin, dmax, amin_w, dmax_w = tree_extrema(h, np.asarray(s, dtype=np.float64), winners=True)
+    p = np.ascontiguousarray(np.where(pos.T, amin, dmax).T)
+    winners = np.ascontiguousarray(np.where(pos.T, amin_w, dmax_w).T)
     return p, winners, pos

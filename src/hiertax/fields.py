@@ -82,7 +82,16 @@ class LabelField:
     leaf: np.ndarray  # (H, W) uint32
 
     def __post_init__(self):
-        l = np.asarray(self.leaf, dtype=np.uint32)
+        l = np.asarray(self.leaf)
+        if l.dtype != np.uint32:
+            # Casting would wrap negative or wide ids and truncate floats.
+            if l.dtype.kind not in "iu":
+                raise ValueError(f"label ids must be integers, got dtype {l.dtype}")
+            if l.size and (l.min() < 0 or l.max() > IGNORE):
+                raise ValueError(
+                    f"label ids must lie in [0, {IGNORE}], got values in [{l.min()}, {l.max()}]"
+                )
+            l = l.astype(np.uint32)
         if l.ndim != 2:
             raise ValueError(f"labels must be 2-d (H, W), got shape {l.shape}")
         self.leaf = l
@@ -99,9 +108,8 @@ class LabelField:
         return self.leaf != IGNORE
 
     def check_hierarchy(self, h: ClassHierarchy) -> None:
-        valid = self.leaf[self.valid_mask()]
-        if valid.size and (np.any(valid >= len(h)) or np.any(h.leaf_index[valid] < 0)):
-            raise ValueError("label field contains non-leaf ids for this hierarchy")
+        """Raises ``ValueError`` naming the first non-ignored non-leaf id."""
+        h.leaf_positions(self.leaf[self.valid_mask()])
 
 
 def _read_payload(path, magic: bytes, ndim: int, dtype: str, kind: str) -> np.ndarray:

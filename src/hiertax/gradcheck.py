@@ -76,5 +76,6 @@ def gradcheck_loss(
         x = np.stack([tie_free_scores(rng, len(h)) for _ in range(2)])
         analytic = _loss(h, x, leaf_ids, loss_name, cfg)[1]
         numeric = central_difference(lambda x: _loss(h, x, leaf_ids, loss_name, cfg)[0], x, step)
-        worst = max(worst, relative_error(analytic, numeric))
+        # np.maximum keeps a NaN error, where max(0.0, nan) would drop it.
+        worst = float(np.maximum(worst, relative_error(analytic, numeric)))
     return worst

@@ -21,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import (
-    _leaf_positions,
     _leaf_rows,
+    field_blocks,
     propagate,
     propagate_batch_winners,
     propagate_grad,
     row_blocks,
 )
-from .fields import IGNORE, LabelField, ScoreField
+from .fields import LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
 # Every loss the trainer and the gradient check accept.
@@ -79,7 +79,7 @@ def cce_loss(
     not a leaf of ``h``.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    targets = _leaf_positions(h, leaf_ids)
+    targets = h.leaf_positions(leaf_ids)
     if logits.ndim != 2 or logits.shape[1] != len(h) or targets.shape != logits.shape[:1]:
         raise ValueError(
             f"expected (N, {len(h)}) logits and N leaf ids, got {logits.shape} and {targets.shape}"
@@ -234,22 +234,16 @@ def field_loss(
     that block is widened to float64. The per-pixel values are gathered in
     pixel order and summed once, as over the whole field.
     """
-    scores.check_hierarchy(h)
-    gt.check_hierarchy(h)
-    if (scores.height, scores.width) != (gt.height, gt.width):
-        raise ValueError("score and label fields have mismatched dimensions")
+    blocks = field_blocks(h, scores, gt)
     flat_s = scores.scores.reshape(-1, len(h))
-    flat_l = gt.leaf.reshape(-1)
     grad = np.zeros(flat_s.shape)
-    n = int(np.count_nonzero(flat_l != IGNORE))
+    n = int(np.count_nonzero(gt.valid_mask()))
     if n == 0:
         return 0.0, grad.reshape(scores.scores.shape)
     values = np.empty(n)
     done = 0
-    for rows in row_blocks(h, flat_l.size):
-        leaf = flat_l[rows]
-        valid = leaf != IGNORE
-        v, g = batch_loss(h, flat_s[rows][valid], leaf[valid].astype(np.int64), which, cfg)
+    for rows, valid, ids in blocks:
+        v, g = batch_loss(h, flat_s[rows][valid], ids, which, cfg)
         values[done:done + v.size] = v
         done += v.size
         grad[rows][valid] = g / n

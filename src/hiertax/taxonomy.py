@@ -86,6 +86,19 @@ class ClassHierarchy:
         self._check_id(v)
         return int(self.dist[u, v])
 
+    def leaf_positions(self, ids: np.ndarray) -> np.ndarray:
+        """Positions of the label ``ids`` in ``leaves``, the one leaf check: raises
+        ``ValueError`` naming the first id, row-major, that is not a leaf."""
+        ids = np.asarray(ids)
+        if not ids.size or (ids.min() >= 0 and ids.max() < len(self)):
+            pos = self.leaf_index[ids]
+            if not pos.size or pos.min() >= 0:
+                return pos
+        bad = next(
+            v for v in ids.ravel().tolist() if not 0 <= v < len(self) or self.leaf_index[v] < 0
+        )
+        raise ValueError(f"label id {bad} is not a leaf of the hierarchy")
+
     def root_to_leaf_paths(self) -> list[list[int]]:
         """One path per leaf, ordered leaf first, root last; leaf id order."""
         return [list(self._chains[leaf]) for leaf in self.leaves]

@@ -124,6 +124,7 @@ def train(
     """Full-batch SGD on the toy scorer; see module docstring."""
     x = np.asarray(features, dtype=np.float64).reshape(-1, features.shape[-1])
     leaf_ids = labels.leaf.reshape(-1).astype(np.int64)
+    h.leaf_positions(leaf_ids)  # every label a leaf, before any step
     n, c = x.shape
     rng = np.random.default_rng(cfg.seed)
     scorer = ToyScorer(

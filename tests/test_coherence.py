@@ -141,6 +141,15 @@ def test_propagate_batch_matches_scalar(tiny):
         assert np.array_equal(batch[i], expected)
 
 
+def test_block_kernels_return_row_major_blocks(tiny):
+    """``batch_loss`` sums each row of a C-contiguous block, as it always has."""
+    rng = np.random.default_rng(4)
+    s = rng.uniform(0, 1, size=(6, len(tiny)))
+    leaf_ids = rng.choice(tiny.leaves, size=6)
+    for out in (propagate_batch(tiny, s, leaf_ids), *propagate_batch_winners(tiny, s, leaf_ids)):
+        assert out.flags.c_contiguous
+
+
 def test_propagate_field_ignores_sentinel(tiny):
     rng = np.random.default_rng(5)
     scores = ScoreField(rng.uniform(0, 1, size=(2, 2, len(tiny))))

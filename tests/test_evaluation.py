@@ -233,9 +233,10 @@ class TestMiou:
         assert [ls.iou for ls in levels] == [{3: 0.5}, {1: 0.5}, {0: 0.5}]
 
     def test_non_leaf_prediction_rejected(self, tiny):
-        pred = LabelField(np.array([[3, 1]], dtype=np.uint32))
+        bad = 1
+        pred = LabelField(np.array([[3, bad]], dtype=np.uint32))
         gt = LabelField(np.array([[3, 4]], dtype=np.uint32))
-        with pytest.raises(ValueError, match="non-leaf"):
+        with pytest.raises(ValueError, match=f"label id {bad} is not a leaf"):
             evaluate_prediction_levels(tiny, pred, gt)
 
     @given(

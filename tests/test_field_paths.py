@@ -144,6 +144,18 @@ def test_huge_header_on_short_file_raises_before_allocating(tmp_path, magic, dim
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("run", [
+    lambda h, s, l: propagate_field(h, s, l),
+    lambda h, s, l: field_loss(h, s, l, "ftm"),
+], ids=["propagate_field", "field_loss"])
+def test_field_pair_checked_before_reshaping(tiny, run):
+    """The class count is checked before the field is reshaped to |V| columns."""
+    scores = ScoreField(np.full((2, 3, 4), 0.5))
+    labels = LabelField(np.full((2, 3), 3, dtype=np.uint32))
+    with pytest.raises(ValueError, match="score field has 4 classes, hierarchy has 5"):
+        run(tiny, scores, labels)
+
+
 def test_score_field_keeps_float32_and_widens_other_dtypes():
     s = np.full((1, 2, 3), 0.25, dtype=np.float32)
     assert ScoreField(s).scores is s

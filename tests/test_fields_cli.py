@@ -216,5 +216,51 @@ def test_label_field_check_rejects_non_leaf_ids(tiny):
     LabelField(np.array([[3, 4], [2, IGNORE]], dtype=np.uint32)).check_hierarchy(tiny)
     for bad in (1, len(tiny)):
         field = LabelField(np.array([[3, bad], [2, IGNORE]], dtype=np.uint32))
-        with pytest.raises(ValueError, match="non-leaf"):
+        with pytest.raises(ValueError, match=f"label id {bad} is not a leaf"):
             field.check_hierarchy(tiny)
+
+
+def test_gradcheck_fails_on_a_nan_kernel_gradient(monkeypatch, capsys):
+    """A NaN in one gradient cell is the worst error, not one that max()
+    drops, so the command fails."""
+    real = losses.batch_loss
+
+    def nan_cell(*args, **kwargs):
+        values, grad = real(*args, **kwargs)
+        grad = grad.copy()
+        grad.flat[0] = np.nan
+        return values, grad
+
+    monkeypatch.setattr(losses, "batch_loss", nan_cell)
+    assert np.isnan(gradcheck_loss("ftm", trials=5))
+    assert main(["gradcheck", "--loss", "ftm", "--trials", "5"]) == EXIT_NUMERICAL
+    assert "gradient check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_gradcheck_rejects_bad_tolerance(tolerance, capsys):
+    assert main(["gradcheck", "--loss", "ftm", "--trials", "1", "--tolerance", tolerance]) == (
+        EXIT_VALIDATION
+    )
+    assert "max relative error" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("leaf, match", [
+    (np.array([[-1, 2]]), "must lie in"),
+    (np.array([[2**32 + 3, 2]]), "must lie in"),
+    (np.array([[1.7, 2.0]]), "must be integers"),
+    (np.array([[np.nan, 2.0]]), "must be integers"),
+])
+def test_label_field_rejects_ids_a_cast_would_change(leaf, match):
+    """-1 would wrap to the IGNORE sentinel, 2**32 + 3 to 3, 1.7 to 1."""
+    with pytest.raises(ValueError, match=match):
+        LabelField(leaf)
+
+
+def test_label_field_keeps_uint32_and_casts_integers_in_range():
+    leaf = np.array([[3, IGNORE]], dtype=np.uint32)
+    assert LabelField(leaf).leaf is leaf
+    for dtype in (np.int8, np.int64, np.uint64):
+        field = LabelField(np.array([[3, 0]], dtype=dtype))
+        assert field.leaf.dtype == np.uint32 and field.leaf.tolist() == [[3, 0]]
+    assert LabelField(np.array([[IGNORE]], dtype=np.int64)).leaf.tolist() == [[IGNORE]]

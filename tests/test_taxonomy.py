@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hiertax.fields import IGNORE
 from hiertax.gradcheck import random_hierarchy
 from hiertax.taxonomy import TaxonomyError, build_hierarchy, load_taxonomy, parse_taxonomy
 
@@ -170,3 +171,33 @@ def test_equality_and_hash_follow_the_defining_fields():
     assert hash(a) == hash(b)
     assert a != build_hierarchy(["r", "a", "b"], [-1, 0, 1])
     assert {a: "tree"}[b] == "tree"
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(1, 30),
+    shape=st.sampled_from([(0,), (1,), (7,), (3, 4)]),
+    leaves_only=st.booleans(),
+    data=st.data(),
+)
+def test_leaf_positions_match_per_id_scan(seed, n_nodes, shape, leaves_only, data):
+    """Same positions as a scan of ``leaves``, or the same error naming the
+    first id, in row-major order, that is not a leaf."""
+    h = random_hierarchy(np.random.default_rng(seed), n_nodes)
+    size = int(np.prod(shape))
+    ids = data.draw(st.lists(st.sampled_from(h.leaves), min_size=size, max_size=size))
+    if size and not leaves_only:
+        # A few ids from -3..|V|+3 or IGNORE, the range's edges drawn often.
+        other = st.one_of(st.sampled_from([-1, len(h), IGNORE]), st.integers(-3, len(h) + 3))
+        for i in data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3)):
+            ids[i] = data.draw(other)
+    ids = np.array(ids, dtype=np.int64).reshape(shape)
+    bad = next((v for v in ids.ravel().tolist() if v not in h.leaves), None)
+    if bad is None:
+        pos = h.leaf_positions(ids)
+        assert pos.shape == shape
+        assert pos.ravel().tolist() == [h.leaves.index(v) for v in ids.ravel().tolist()]
+    else:
+        with pytest.raises(ValueError, match=f"^label id {bad} is not a leaf of the hierarchy$"):
+            h.leaf_positions(ids)
+
