@@ -6,6 +6,10 @@ descendants, which guarantees the resulting vector satisfies both
 hierarchy constraints restricted by the label expansion. Self-sets include
 the node itself.
 
+The scalar reference path, the tree DP's independent oracle, has one entry:
+``propagate_winners`` checks that the labels are one leaf's expansion, then
+walks each node's ``ancestor_mask`` row (ancestors) or column (subtree).
+
 Batch propagation runs one tree DP, ``tree_extrema``: ancestor-min runs
 top-down (``amin[v] = min(s[v], amin[parent v])``) and descendant-max runs
 bottom-up, one ``np.maximum.reduceat`` per depth. Winners are reduced
@@ -30,9 +34,7 @@ def expand_labels(h: ClassHierarchy, leaf: int) -> np.ndarray:
     """Binary vector over V: 1 on the leaf's ancestor chain, 0 elsewhere."""
     if not h.is_leaf(leaf):
         raise ValueError(f"node {leaf} is not a leaf")
-    out = np.zeros(len(h), dtype=np.int8)
-    out[list(h.ancestors(leaf))] = 1
-    return out
+    return h.ancestor_mask[leaf].astype(np.int8)
 
 
 def _check_lengths(h: ClassHierarchy, *vecs: np.ndarray) -> None:
@@ -41,9 +43,14 @@ def _check_lengths(h: ClassHierarchy, *vecs: np.ndarray) -> None:
             raise ValueError(f"expected vector of length {len(h)}, got shape {v.shape}")
 
 
-def _check_threshold(threshold: float) -> None:
+def _constraint_scores(h: ClassHierarchy, s: np.ndarray, threshold: float) -> np.ndarray:
+    s = np.asarray(s, dtype=np.float64)
+    _check_lengths(h, s)
     if np.isnan(threshold):
         raise ValueError("threshold must not be NaN")
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
+    return s
 
 
 def check_positive_constraint(
@@ -52,11 +59,10 @@ def check_positive_constraint(
     """Pairs (v, ancestor u) where v scores above threshold but above u.
 
     An empty list means every thresholded positive has all its ancestors
-    scored at least as high. Pairs are ordered by v, then u.
+    scored at least as high. Pairs are ordered by v, then u; NaN scores or
+    thresholds raise ``ValueError``.
     """
-    s = np.asarray(s, dtype=np.float64)
-    _check_lengths(h, s)
-    _check_threshold(threshold)
+    s = _constraint_scores(h, s, threshold)
     hit = h.ancestor_mask & (s[:, None] > s) & (s > threshold)[:, None]
     return [(int(v), int(u)) for v, u in zip(*np.nonzero(hit))]
 
@@ -66,11 +72,9 @@ def check_negative_constraint(
 ) -> list[tuple[int, int]]:
     """Pairs (v, descendant u) where v scores at or below threshold but below u.
 
-    Pairs are ordered by v, then u.
+    Pairs are ordered by v, then u; NaN scores or thresholds raise ``ValueError``.
     """
-    s = np.asarray(s, dtype=np.float64)
-    _check_lengths(h, s)
-    _check_threshold(threshold)
+    s = _constraint_scores(h, s, threshold)
     hit = h.ancestor_mask.T & (s > s[:, None]) & (s <= threshold)[:, None]
     return [(int(v), int(u)) for v, u in zip(*np.nonzero(hit))]
 
@@ -97,41 +101,36 @@ def coherence_violation_rate(h: ClassHierarchy, s: np.ndarray) -> float:
     return float(viol.mean()) if s.shape[0] else 0.0
 
 
-def _validate_expansion(h: ClassHierarchy, labels: np.ndarray) -> None:
-    positives = np.flatnonzero(labels)
-    if positives.size == 0:
-        raise ValueError("label vector has no positive nodes")
-    # The positive set of a valid expansion is exactly one leaf's chain.
-    deepest = max(positives, key=lambda v: len(h.ancestors(v)))
-    if set(positives) != set(h.ancestors(int(deepest))) or not h.is_leaf(int(deepest)):
-        raise ValueError("label vector is not the expansion of a single leaf")
-
-
 def propagate(h: ClassHierarchy, s: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Hierarchy-coherent score vector: min over ancestors on positives,
     max over descendants on negatives."""
     s = np.asarray(s, dtype=np.float64)
-    labels = np.asarray(labels)
-    _check_lengths(h, s, labels)
-    _validate_expansion(h, labels)
     return s[propagate_winners(h, s, labels)]
 
 
 def propagate_winners(h: ClassHierarchy, s: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """For each node, the source node id whose score the propagation copied.
 
+    ``labels`` other than one leaf's 0/1 expansion raise ``ValueError``.
     Ties resolve to the smallest node id, so the backward pass routes all
     gradient mass to a single deterministic source per output.
     """
     s = np.asarray(s, dtype=np.float64)
     labels = np.asarray(labels)
     _check_lengths(h, s, labels)
+    positives = np.flatnonzero(labels)
+    if positives.size == 0:
+        raise ValueError("label vector has no positive nodes")
+    # A valid expansion is the mask row of its positive with most ancestors.
+    deepest = int(positives[np.argmax(h.ancestor_mask[positives].sum(axis=1))])
+    if not (h.is_leaf(deepest) and np.array_equal(labels, h.ancestor_mask[deepest])):
+        raise ValueError("label vector is not the expansion of a single leaf")
     winners = np.empty(len(h), dtype=np.int64)
     for v in range(len(h)):
-        group = sorted(h.ancestors(v)) if labels[v] else sorted(h.descendants(v))
-        vals = s[group]
-        best = np.argmin(vals) if labels[v] else np.argmax(vals)
-        winners[v] = group[int(best)]
+        # flatnonzero is ascending, so the first arg-extremum is the smallest id.
+        group = np.flatnonzero(h.ancestor_mask[v] if labels[v] else h.ancestor_mask[:, v])
+        best = np.argmin(s[group]) if labels[v] else np.argmax(s[group])
+        winners[v] = group[best]
     return winners
 
 
@@ -141,11 +140,9 @@ def propagate_grad(
     """Backward pass of propagate: route each upstream component to its
     arg-min/arg-max source entry of s."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    _check_lengths(h, np.asarray(s), upstream)
-    _validate_expansion(h, np.asarray(labels))
-    winners = propagate_winners(h, s, labels)
+    _check_lengths(h, upstream)
     grad = np.zeros(len(h), dtype=np.float64)
-    np.add.at(grad, winners, upstream)
+    np.add.at(grad, propagate_winners(h, s, labels), upstream)
     return grad
 
 
@@ -246,10 +243,12 @@ def tree_extrema(h: ClassHierarchy, s: np.ndarray, winners: bool = False) -> tup
     return amin, dmax
 
 
-def _leaf_rows(h: ClassHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
-    """Label expansions of ``leaf_ids`` as (N, |V|) ``ancestor_mask`` rows;
-    raises as ``ClassHierarchy.leaf_positions`` does."""
+def _leaf_rows(h: ClassHierarchy, leaf_ids: np.ndarray, n: int) -> np.ndarray:
+    """Label expansions of ``leaf_ids`` as (n, |V|) ``ancestor_mask`` rows;
+    raises unless ``leaf_ids`` has shape (n,), and as ``leaf_positions`` does."""
     ids = np.asarray(leaf_ids)
+    if ids.shape != (n,):
+        raise ValueError(f"expected {n} leaf ids, one per score row, got shape {ids.shape}")
     h.leaf_positions(ids)
     return h.ancestor_mask[ids]
 
@@ -257,8 +256,9 @@ def _leaf_rows(h: ClassHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
 def propagate_batch(h: ClassHierarchy, s: np.ndarray, leaf_ids: np.ndarray) -> np.ndarray:
     """Vectorized propagate for one row block of score vectors with per-row
     leaf labels; the caller keeps the block small (see ``row_blocks``)."""
+    pos = _leaf_rows(h, leaf_ids, len(s))
     amin, dmax = tree_extrema(h, np.asarray(s, dtype=np.float64))
-    return np.ascontiguousarray(np.where(_leaf_rows(h, leaf_ids).T, amin, dmax).T)
+    return np.ascontiguousarray(np.where(pos.T, amin, dmax).T)
 
 
 def propagate_batch_winners(
@@ -269,7 +269,7 @@ def propagate_batch_winners(
 
     Winner ties resolve to the smallest node id.
     """
-    pos = _leaf_rows(h, leaf_ids)
+    pos = _leaf_rows(h, leaf_ids, len(s))
     amin, dmax, amin_w, dmax_w = tree_extrema(h, np.asarray(s, dtype=np.float64), winners=True)
     p = np.ascontiguousarray(np.where(pos.T, amin, dmax).T)
     winners = np.ascontiguousarray(np.where(pos.T, amin_w, dmax_w).T)

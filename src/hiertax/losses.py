@@ -23,9 +23,8 @@ import numpy as np
 from .coherence import (
     _leaf_rows,
     field_blocks,
-    propagate,
     propagate_batch_winners,
-    propagate_grad,
+    propagate_winners,
     row_blocks,
 )
 from .fields import LabelField, ScoreField
@@ -37,15 +36,10 @@ LOSSES = ("cce", "bce", "focal", "tm", "ftm")
 
 @dataclass
 class FocalConfig:
-    """Focusing parameter and numerical floor for the focal-style losses.
-
-    ``grad_through_modulator`` selects whether the modulating factor is
-    differentiated (default) or treated as a constant weight.
-    """
+    """Focusing parameter and numerical floor for the focal-style losses."""
 
     gamma: float = 2.0
     epsilon: float = 1e-12
-    grad_through_modulator: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
@@ -121,43 +115,54 @@ def _focal_terms(
     values = -pos * (1.0 - pc) ** g * logp - (1.0 - pos) * pc**g * log1p
     d_pos = -((1.0 - pc) ** g) / pc
     d_neg = pc**g / (1.0 - pc)
-    if cfg.grad_through_modulator and g > 0:
+    if g > 0:
         d_pos = d_pos + g * (1.0 - pc) ** (g - 1.0) * logp
         d_neg = d_neg - g * pc ** (g - 1.0) * log1p
     dvdp = pos * d_pos + (1.0 - pos) * d_neg
     return values, dvdp
 
 
-def bce_loss(s: np.ndarray, labels: np.ndarray, epsilon: float = 1e-12) -> LossReport:
-    """Independent per-node binary cross-entropy on raw scores."""
+def _binary(s: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as float64 and labels of the same shape, every label 0 or 1."""
     s = np.asarray(s, dtype=np.float64)
     labels = np.asarray(labels)
     if s.shape != labels.shape:
         raise ValueError("score/label length mismatch")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return s, labels
+
+
+def bce_loss(s: np.ndarray, labels: np.ndarray, epsilon: float = 1e-12) -> LossReport:
+    """Independent per-node binary cross-entropy on raw scores."""
+    s, labels = _binary(s, labels)
     values, dvdp = _bce_terms(s, labels, epsilon)
     return LossReport(value=float(values.sum()), grad=dvdp)
 
 
 def focal_loss(s: np.ndarray, labels: np.ndarray, cfg: FocalConfig | None = None) -> LossReport:
     """Focally modulated BCE on raw scores (no propagation)."""
-    cfg = cfg or FocalConfig()
-    s = np.asarray(s, dtype=np.float64)
-    labels = np.asarray(labels)
-    if s.shape != labels.shape:
-        raise ValueError("score/label length mismatch")
-    values, dvdp = _focal_terms(s, labels, cfg)
+    s, labels = _binary(s, labels)
+    values, dvdp = _focal_terms(s, labels, cfg or FocalConfig())
     return LossReport(value=float(values.sum()), grad=dvdp)
+
+
+def _tree_min(h: ClassHierarchy, s: np.ndarray, labels: np.ndarray, terms) -> LossReport:
+    """``terms(p, labels)`` of the propagated scores p, its gradient routed
+    back to the winners of one ``propagate_winners`` walk."""
+    s = np.asarray(s, dtype=np.float64)
+    winners = propagate_winners(h, s, labels)
+    values, dvdp = terms(s[winners], np.asarray(labels))
+    grad = np.zeros(len(h), dtype=np.float64)
+    np.add.at(grad, winners, dvdp)
+    return LossReport(value=float(values.sum()), grad=grad)
 
 
 def tree_min_loss(
     h: ClassHierarchy, s: np.ndarray, labels: np.ndarray, epsilon: float = 1e-12
 ) -> LossReport:
     """BCE applied to the hierarchy-coherent propagated scores."""
-    s = np.asarray(s, dtype=np.float64)
-    p = propagate(h, s, labels)
-    values, dvdp = _bce_terms(p, np.asarray(labels), epsilon)
-    grad = propagate_grad(h, s, labels, dvdp)
-    return LossReport(value=float(values.sum()), grad=grad)
+    return _tree_min(h, s, labels, lambda p, lab: _bce_terms(p, lab, epsilon))
 
 
 def focal_tree_min_loss(
@@ -166,11 +171,7 @@ def focal_tree_min_loss(
     """Focal BCE applied to the propagated scores; the modulating factor is
     differentiated through the min/max routing."""
     cfg = cfg or FocalConfig()
-    s = np.asarray(s, dtype=np.float64)
-    p = propagate(h, s, labels)
-    values, dvdp = _focal_terms(p, np.asarray(labels), cfg)
-    grad = propagate_grad(h, s, labels, dvdp)
-    return LossReport(value=float(values.sum()), grad=grad)
+    return _tree_min(h, s, labels, lambda p, lab: _focal_terms(p, lab, cfg))
 
 
 # The losses ``batch_loss`` takes: all but the flat softmax.
@@ -195,13 +196,17 @@ def batch_loss(
     s = np.asarray(s, dtype=np.float64)
     leaf_ids = np.asarray(leaf_ids)
     n, width = s.shape
+    # A block's slice of N + 1 ids would still match its rows.
+    if leaf_ids.shape != (n,):
+        raise ValueError(f"expected {n} leaf ids, one per score row, got shape {leaf_ids.shape}")
     values = np.empty(n)
     grad = np.empty(s.shape)
     for rows in row_blocks(h, n):
+        block, ids = s[rows], leaf_ids[rows]
         if which in ("bce", "focal"):
-            p, labels = s[rows], _leaf_rows(h, leaf_ids[rows])
+            p, labels = block, _leaf_rows(h, ids, len(block))
         else:
-            p, winners, labels = propagate_batch_winners(h, s[rows], leaf_ids[rows])
+            p, winners, labels = propagate_batch_winners(h, block, ids)
         if which in ("bce", "tm"):
             terms, dvdp = _bce_terms(p, labels, cfg.epsilon)
         else:

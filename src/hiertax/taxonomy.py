@@ -21,10 +21,11 @@ class TaxonomyError(ValueError):
 class ClassHierarchy:
     """Immutable rooted tree over class names.
 
-    ``build_hierarchy`` computes every structural table once (ancestor and
-    descendant sets, tree distances, the batch kernels' arrays); arrays are
-    read-only, so the object is safe for concurrent shared reads. Equality
-    and hashing follow the defining fields; the tables derive from them.
+    ``build_hierarchy`` computes every structural table once (the ancestor
+    mask, tree distances, the batch kernels' arrays); arrays are read-only,
+    so the object is safe for concurrent shared reads. ``ancestor_mask`` is
+    the only stored form of the ancestor relation. Equality and hashing
+    follow the defining fields; the tables derive from them.
     """
 
     nodes: tuple[str, ...]
@@ -50,9 +51,6 @@ class ClassHierarchy:
     # (height + 1, |V|); row ``L - 1`` maps each node to its highest ancestor
     # of level <= L, or to itself when its own level exceeds L.
     level_targets: np.ndarray = field(repr=False, compare=False)
-    _chains: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    _ancestor_sets: tuple[frozenset[int], ...] = field(repr=False, compare=False)
-    _descendant_sets: tuple[frozenset[int], ...] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -68,17 +66,20 @@ class ClassHierarchy:
     def ancestors(self, v: int) -> frozenset[int]:
         """All nodes on the path from v to the root, v included."""
         self._check_id(v)
-        return self._ancestor_sets[v]
+        return frozenset(np.flatnonzero(self.ancestor_mask[v]).tolist())
 
     def ancestor_chain(self, v: int) -> tuple[int, ...]:
         """Path v -> root as an ordered tuple, v first."""
         self._check_id(v)
-        return self._chains[v]
+        chain = [v]
+        while self.parent[chain[-1]] != -1:
+            chain.append(self.parent[chain[-1]])
+        return tuple(chain)
 
     def descendants(self, v: int) -> frozenset[int]:
         """All nodes in the subtree rooted at v, v included."""
         self._check_id(v)
-        return self._descendant_sets[v]
+        return frozenset(np.flatnonzero(self.ancestor_mask[:, v]).tolist())
 
     def tree_distance(self, u: int, v: int) -> int:
         """Shortest-path length between u and v, counted in edges."""
@@ -101,7 +102,7 @@ class ClassHierarchy:
 
     def root_to_leaf_paths(self) -> list[list[int]]:
         """One path per leaf, ordered leaf first, root last; leaf id order."""
-        return [list(self._chains[leaf]) for leaf in self.leaves]
+        return [list(self.ancestor_chain(leaf)) for leaf in self.leaves]
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -151,22 +152,12 @@ def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:
 
     leaves = tuple(v for v in range(n) if not children[v])
 
-    # Ancestor chains walk the parent pointers. Deepest first, each node's
-    # level (1 + longest edge distance to a descendant leaf) and descendant
-    # set are final before its parent reads them.
-    chains = []
-    for v in range(n):
-        chain = [v]
-        while parent[chain[-1]] != -1:
-            chain.append(parent[chain[-1]])
-        chains.append(tuple(chain))
+    # Deepest first, each node's level (1 + longest edge distance to a
+    # descendant leaf) is final before its parent reads it.
     level = [1] * n
-    desc: list[set[int]] = [{v} for v in range(n)]
     for v in sorted(range(n), key=lambda v: -depth[v]):
         if children[v]:
             level[v] = 1 + max(level[c] for c in children[v])
-        if parent[v] != -1:
-            desc[parent[v]].update(desc[v])
     height = level[root] - 1
 
     # Tables for the array kernels: nodes per depth with their parents, and
@@ -223,9 +214,6 @@ def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:
         ancestor_mask=anc,
         leaf_index=leaf_index,
         level_targets=level_targets,
-        _chains=tuple(chains),
-        _ancestor_sets=tuple(frozenset(c) for c in chains),
-        _descendant_sets=tuple(frozenset(d) for d in desc),
     )
 
 

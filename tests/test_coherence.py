@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,8 @@ def test_propagate_invalid_labels(tiny):
         propagate(tiny, np.full(5, 0.5), np.array([1, 0, 0, 1, 0]))
     with pytest.raises(ValueError, match="length"):
         propagate(tiny, np.full(4, 0.5), expand_labels(tiny, 3))
+    with pytest.raises(ValueError, match="length"):
+        propagate_grad(tiny, np.full(5, 0.5), expand_labels(tiny, 3), np.ones(1))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -174,6 +178,43 @@ def test_batch_kernels_reject_non_leaf_ids(tiny, bad_id):
         calls.append(lambda which=which: batch_loss(tiny, s, leaf_ids, which))
     for call in calls:
         with pytest.raises(ValueError, match=f"label id {bad_id} is not a leaf"):
+            call()
+
+
+@pytest.mark.parametrize("leaf_ids", [[3], [3, 4, 2, 3, 4], [[3], [4], [2], [3]]])
+def test_batch_kernels_reject_one_id_per_row_mismatch(tiny, leaf_ids):
+    """(4, |V|) scores need 4 leaf ids: one id is not broadcast over every
+    row, N + 1 ids are not cut to N block by block, and (N, 1) is not (N,)."""
+    s = np.random.default_rng(6).uniform(0, 1, size=(4, len(tiny)))
+    leaf_ids = np.array(leaf_ids)
+    calls = [
+        lambda: propagate_batch(tiny, s, leaf_ids),
+        lambda: propagate_batch_winners(tiny, s, leaf_ids),
+    ]
+    for which in ("bce", "focal", "tm", "ftm"):
+        calls.append(lambda which=which: batch_loss(tiny, s, leaf_ids, which))
+    message = f"expected 4 leaf ids, one per score row, got shape {re.escape(str(leaf_ids.shape))}"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("labels", [
+    [1, 1, 0, 0, 0],  # the chain of A, which is not a leaf
+    [2, 2, 0, 2, 0],  # twice a1's expansion
+    [1, 1, 0, -1, 0],
+    [1, 1, 0.5, 1, 0],
+    [1, 1, 0, 1, np.nan],
+])
+def test_scalar_path_rejects_labels_other_than_an_expansion(tiny, labels):
+    s = np.array([0.9, 0.5, 0.4, 0.7, 0.6])
+    labels = np.array(labels)
+    for call in (
+        lambda: propagate_winners(tiny, s, labels),
+        lambda: propagate(tiny, s, labels),
+        lambda: propagate_grad(tiny, s, labels, np.ones(5)),
+    ):
+        with pytest.raises(ValueError, match="expansion of a single leaf"):
             call()
 
 

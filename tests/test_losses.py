@@ -174,19 +174,33 @@ class TestFocalTreeMin:
             assert ftm_term <= tm_term + 1e-12
 
     def test_modulator_gradient_flag(self, tiny):
+        """The modulating factor is differentiated: the gradient matches
+        finite differences."""
         rng = np.random.default_rng(4)
         lab = expand_labels(tiny, 3)
         s = tie_free_scores(rng, len(tiny))
         through = focal_tree_min_loss(tiny, s, lab, FocalConfig(gamma=2.0)).grad
-        held = focal_tree_min_loss(
-            tiny, s, lab, FocalConfig(gamma=2.0, grad_through_modulator=False)
-        ).grad
-        assert not np.allclose(through, held)
-        # only the through-variant matches finite differences
         numeric = central_difference(
             lambda s: focal_tree_min_loss(tiny, s, lab, FocalConfig(gamma=2.0)).value, s
         )
         assert relative_error(through, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("labels", [
+    [2, 2, 0, 2, 0],  # twice a1's expansion
+    [1, 1, 0, -1, 0],
+    [1, 1, 0.5, 1, 0],
+    [1, 1, 0, 1, np.nan],
+])
+def test_losses_reject_labels_other_than_0_and_1(tiny, labels):
+    s = np.array([0.9, 0.5, 0.4, 0.7, 0.6])
+    labels = np.array(labels)
+    for loss in (bce_loss, focal_loss):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            loss(s, labels)
+    for loss in (tree_min_loss, focal_tree_min_loss):
+        with pytest.raises(ValueError, match="expansion of a single leaf"):
+            loss(tiny, s, labels)
 
 
 class TestFieldLoss:

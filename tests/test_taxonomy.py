@@ -157,11 +157,27 @@ def test_leaf_index_and_level_targets_match_chain_walks(seed, n_nodes):
                     break
                 target = u
             assert h.level_targets[level - 1, v] == target
-    for v in range(len(h)):
-        assert set(np.flatnonzero(h.ancestor_mask[v]).tolist()) == h.ancestors(v)
     tables = [h.dist, h.ancestor_mask, h.leaf_index, h.level_targets]
     tables += [a for group in h.top_down + h.bottom_up for a in group]
     assert all(not a.flags.writeable for a in tables)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 60))
+def test_ancestor_views_match_parent_walks(seed, n_nodes):
+    """``ancestors``, ``descendants``, ``ancestor_chain`` and
+    ``root_to_leaf_paths`` against chains walked up ``h.parent``."""
+    h = random_hierarchy(np.random.default_rng(seed), n_nodes)
+    chains = []
+    for v in range(len(h)):
+        chain = [v]
+        while h.parent[chain[-1]] != -1:
+            chain.append(h.parent[chain[-1]])
+        chains.append(chain)
+    for v in range(len(h)):
+        assert h.ancestor_chain(v) == tuple(chains[v])
+        assert h.ancestors(v) == frozenset(chains[v])
+        assert h.descendants(v) == frozenset(u for u in range(len(h)) if v in chains[u])
+    assert h.root_to_leaf_paths() == [chains[leaf] for leaf in h.leaves]
 
 
 def test_equality_and_hash_follow_the_defining_fields():

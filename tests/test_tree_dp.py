@@ -110,9 +110,14 @@ def test_constraint_checks_match_pairwise_definition(seed, n_nodes, threshold):
     ]
     assert check_positive_constraint(h, s, threshold) == pos
     assert check_negative_constraint(h, s, threshold) == neg
+    # A NaN score, here the root's, would drop every pair that involves it.
+    nan_root = s.copy()
+    nan_root[h.root] = np.nan
     for check in (check_positive_constraint, check_negative_constraint):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
             check(h, s, float("nan"))
+        with pytest.raises(ValueError, match="scores must not be NaN"):
+            check(h, nan_root, threshold)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30), n_rows=st.integers(1, 40))
