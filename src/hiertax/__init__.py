@@ -10,7 +10,7 @@ from .coherence import (
 )
 from .embedding import (
     ProjectionParams,
-    Triplet,
+    Triplets,
     cosine_distance,
     project,
     sample_triplets,
@@ -51,7 +51,7 @@ __all__ = [
     "TaxonomyError",
     "TrainConfig",
     "TrainReport",
-    "Triplet",
+    "Triplets",
     "bce_loss",
     "beta_schedule",
     "cce_loss",

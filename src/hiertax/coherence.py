@@ -43,6 +43,12 @@ def _check_lengths(h: ClassHierarchy, *vecs: np.ndarray) -> None:
             raise ValueError(f"expected vector of length {len(h)}, got shape {v.shape}")
 
 
+def _check_scores(h: ClassHierarchy, s: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``s`` is an (N, |V|) array of score rows."""
+    if s.ndim != 2 or s.shape[1] != len(h):
+        raise ValueError(f"expected scores of shape (N, {len(h)}), got {s.shape}")
+
+
 def _constraint_scores(h: ClassHierarchy, s: np.ndarray, threshold: float) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     _check_lengths(h, s)
@@ -89,8 +95,7 @@ def coherence_violation_rate(h: ClassHierarchy, s: np.ndarray) -> float:
     otherwise. Raises ``ValueError`` for a NaN score or a width other than |V|.
     """
     s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[1] != len(h):
-        raise ValueError(f"expected scores of shape (N, {len(h)}), got {s.shape}")
+    _check_scores(h, s)
     if np.isnan(s).any():
         raise ValueError("scores must not be NaN")
     viol = np.zeros(s.shape[0], dtype=bool)
@@ -256,8 +261,10 @@ def _leaf_rows(h: ClassHierarchy, leaf_ids: np.ndarray, n: int) -> np.ndarray:
 def propagate_batch(h: ClassHierarchy, s: np.ndarray, leaf_ids: np.ndarray) -> np.ndarray:
     """Vectorized propagate for one row block of score vectors with per-row
     leaf labels; the caller keeps the block small (see ``row_blocks``)."""
+    s = np.asarray(s, dtype=np.float64)
+    _check_scores(h, s)
     pos = _leaf_rows(h, leaf_ids, len(s))
-    amin, dmax = tree_extrema(h, np.asarray(s, dtype=np.float64))
+    amin, dmax = tree_extrema(h, s)
     return np.ascontiguousarray(np.where(pos.T, amin, dmax).T)
 
 
@@ -269,8 +276,10 @@ def propagate_batch_winners(
 
     Winner ties resolve to the smallest node id.
     """
+    s = np.asarray(s, dtype=np.float64)
+    _check_scores(h, s)
     pos = _leaf_rows(h, leaf_ids, len(s))
-    amin, dmax, amin_w, dmax_w = tree_extrema(h, np.asarray(s, dtype=np.float64), winners=True)
+    amin, dmax, amin_w, dmax_w = tree_extrema(h, s, winners=True)
     p = np.ascontiguousarray(np.where(pos.T, amin, dmax).T)
     winners = np.ascontiguousarray(np.where(pos.T, amin_w, dmax_w).T)
     return p, winners, pos

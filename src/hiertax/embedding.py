@@ -13,15 +13,17 @@ DEFAULT_MARGIN_BASE = 0.1
 DEFAULT_TRIPLET_COUNT = 200
 
 
-@dataclass
-class Triplet:
-    anchor: int
-    pos: int
-    neg: int
-    anchor_leaf: int
-    pos_leaf: int
-    neg_leaf: int
-    margin: float
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """T sampled triplets: ``pixels`` is the (T, 3) int64 array of anchor,
+    positive and negative pixel indices, ``margin`` their (T,) float64
+    margins. Their leaf labels are ``labels[pixels]``."""
+
+    pixels: np.ndarray
+    margin: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.margin)
 
 
 @dataclass
@@ -75,20 +77,6 @@ def tree_triplet_loss(a, p, n, margin: float) -> TripletLossReport:
     return TripletLossReport(float(value[0]), g_a[0], g_p[0], g_n[0])
 
 
-def _has_triplet(dist: np.ndarray, labels: np.ndarray) -> bool:
-    """Whether some anchor sees >= 2 distinct distances among the other pixels.
-
-    An anchor's label sees distance 0 only when it has a second pixel, and
-    its (positive) distance to every other label present.
-    """
-    ids, counts = np.unique(labels, return_counts=True)
-    k = ids.size
-    if k < 2:
-        return False
-    off = dist[np.ix_(ids, ids)][~np.eye(k, dtype=bool)].reshape(k, k - 1)
-    return bool(((counts > 1) | (off.min(axis=1) != off.max(axis=1))).any())
-
-
 def sample_triplets(
     h: ClassHierarchy,
     batch_labels,
@@ -96,24 +84,25 @@ def sample_triplets(
     rng_seed: int = 0,
     margin_base: float = DEFAULT_MARGIN_BASE,
     max_tries: int = 1000,
-) -> list[Triplet]:
+) -> Triplets:
     """Sample up to ``count`` valid triplets with replacement, anchor first.
 
     Candidates are (anchor, i, j) draws of three pixel indices. A candidate
     is rejected when two indices coincide or when i and j are at the same
     tree distance from the anchor; otherwise the nearer one is the positive.
-    Sampling stops after ``max_tries`` consecutive rejections. Degenerate
-    batches (no anchor admits two distinct distances) yield an empty list.
+    Sampling stops after ``max_tries`` consecutive rejections, so a batch
+    with no valid triplet (no anchor sees two distinct distances) ends by
+    that rule with no triplets. Raises ``ValueError`` naming the first label
+    that is not a leaf of ``h``.
     """
     labels = np.asarray(batch_labels, dtype=np.int64)
+    h.leaf_positions(labels)
     n = labels.size
     dist = h.dist
-    if n < 3 or count <= 0 or not _has_triplet(dist, labels):
-        return []
-
     rng = np.random.default_rng(rng_seed)
-    kept: list[np.ndarray] = []
-    need, misses = count, 0
+    kept = [np.empty((0, 3), dtype=np.int64)]
+    # fewer than three pixels admit no triplet
+    need, misses = (count if n >= 3 else 0), 0
     while need > 0:
         # One (k, 3) draw returns exactly the values of k successive size-3
         # draws, so the candidates do not depend on the block size.
@@ -136,15 +125,13 @@ def sample_triplets(
             break
 
     a, i, j = np.concatenate(kept).T
-    la, li, lj = labels[a], labels[i], labels[j]
-    di, dj = dist[la, li], dist[la, lj]
+    la = labels[a]
+    di, dj = dist[la, labels[i]], dist[la, labels[j]]
     swap = di > dj
-    pos, neg = np.where(swap, j, i), np.where(swap, i, j)
-    lp, ln = np.where(swap, lj, li), np.where(swap, li, lj)
+    pixels = np.stack([a, np.where(swap, j, i), np.where(swap, i, j)], axis=1)
     # triplet_margin's arithmetic, on the whole batch
     margins = margin_base + 0.5 * (np.abs(di - dj) / (2.0 * h.height))
-    cols = (a, pos, neg, la, lp, ln, margins)
-    return [Triplet(*row) for row in zip(*(c.tolist() for c in cols))]
+    return Triplets(pixels, margins)
 
 
 def batch_triplet_loss(

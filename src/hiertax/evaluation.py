@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import row_blocks, sibling_max
+from .coherence import _check_scores, row_blocks, sibling_max
 from .fields import LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
@@ -36,6 +36,7 @@ def decode_batch(h: ClassHierarchy, s: np.ndarray) -> np.ndarray:
     whatever the input's float dtype.
     """
     s = np.asarray(s)
+    _check_scores(h, s)
     out = np.empty(s.shape[0], dtype=np.int64)
     for rows in row_blocks(h, s.shape[0]):
         best = np.array(s[rows].T, dtype=np.float64, order="C")

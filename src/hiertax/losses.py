@@ -2,7 +2,7 @@
 
 All losses report both the scalar value and the gradient with respect to
 their input: leaf logits for the flat softmax ``cce_loss``, node scores in
-[0, 1] for the others. Scores are clipped to [epsilon, 1 - epsilon] before any
+[0, 1] for the others. Scores are clipped to [EPSILON, 1 - EPSILON] before any
 logarithm so values stay finite at exact 0/1 predictions; gradients are
 evaluated at the clipped scores.
 
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import (
+    _check_scores,
     _leaf_rows,
     field_blocks,
     propagate_batch_winners,
@@ -33,19 +34,19 @@ from .taxonomy import ClassHierarchy
 # Every loss the trainer and the gradient check accept.
 LOSSES = ("cce", "bce", "focal", "tm", "ftm")
 
+# Numerical floor of every logarithm's argument.
+EPSILON = 1e-12
+
 
 @dataclass
 class FocalConfig:
-    """Focusing parameter and numerical floor for the focal-style losses."""
+    """Focusing parameter of the focal-style losses."""
 
     gamma: float = 2.0
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
-        if not 0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must lie in (0, 0.5)")
 
 
 @dataclass
@@ -58,12 +59,12 @@ class LossReport:
             raise ValueError("loss value and gradient must be finite")
 
 
-def _clip(x: np.ndarray, eps: float) -> np.ndarray:
-    return np.clip(x, eps, 1.0 - eps)
+def _clip(x: np.ndarray) -> np.ndarray:
+    return np.clip(x, EPSILON, 1.0 - EPSILON)
 
 
 def cce_loss(
-    h: ClassHierarchy, logits: np.ndarray, leaf_ids: np.ndarray, epsilon: float = 1e-12
+    h: ClassHierarchy, logits: np.ndarray, leaf_ids: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the leaf logits of N rows.
 
@@ -84,16 +85,16 @@ def cce_loss(
     e = np.exp(z)
     y = e / e.sum(axis=1, keepdims=True)
     n = logits.shape[0]
-    value = float(-np.log(np.clip(y[np.arange(n), targets], epsilon, None)).mean())
+    value = float(-np.log(np.clip(y[np.arange(n), targets], EPSILON, None)).mean())
     y[np.arange(n), targets] -= 1.0
     grad = np.zeros_like(logits)
     grad[:, leaves] = y / n
     return value, grad
 
 
-def _bce_terms(p: np.ndarray, labels: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _bce_terms(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-node BCE values and d/dp at the clipped scores."""
-    pc = _clip(p, eps)
+    pc = _clip(p)
     pos = labels.astype(np.float64)
     values = -pos * np.log(pc) - (1.0 - pos) * np.log(1.0 - pc)
     dvdp = -pos / pc + (1.0 - pos) / (1.0 - pc)
@@ -108,7 +109,7 @@ def _focal_terms(
     Positive term: -(1-p)^g log p; negative term: -p^g log(1-p).
     """
     g = cfg.gamma
-    pc = _clip(p, cfg.epsilon)
+    pc = _clip(p)
     pos = labels.astype(np.float64)
     logp = np.log(pc)
     log1p = np.log(1.0 - pc)
@@ -133,10 +134,10 @@ def _binary(s: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, labels
 
 
-def bce_loss(s: np.ndarray, labels: np.ndarray, epsilon: float = 1e-12) -> LossReport:
+def bce_loss(s: np.ndarray, labels: np.ndarray) -> LossReport:
     """Independent per-node binary cross-entropy on raw scores."""
     s, labels = _binary(s, labels)
-    values, dvdp = _bce_terms(s, labels, epsilon)
+    values, dvdp = _bce_terms(s, labels)
     return LossReport(value=float(values.sum()), grad=dvdp)
 
 
@@ -158,11 +159,9 @@ def _tree_min(h: ClassHierarchy, s: np.ndarray, labels: np.ndarray, terms) -> Lo
     return LossReport(value=float(values.sum()), grad=grad)
 
 
-def tree_min_loss(
-    h: ClassHierarchy, s: np.ndarray, labels: np.ndarray, epsilon: float = 1e-12
-) -> LossReport:
+def tree_min_loss(h: ClassHierarchy, s: np.ndarray, labels: np.ndarray) -> LossReport:
     """BCE applied to the hierarchy-coherent propagated scores."""
-    return _tree_min(h, s, labels, lambda p, lab: _bce_terms(p, lab, epsilon))
+    return _tree_min(h, s, labels, _bce_terms)
 
 
 def focal_tree_min_loss(
@@ -194,6 +193,7 @@ def batch_loss(
     if which not in FIELD_LOSSES:
         raise ValueError(f"unknown field loss {which!r}; expected one of {FIELD_LOSSES}")
     s = np.asarray(s, dtype=np.float64)
+    _check_scores(h, s)
     leaf_ids = np.asarray(leaf_ids)
     n, width = s.shape
     # A block's slice of N + 1 ids would still match its rows.
@@ -208,7 +208,7 @@ def batch_loss(
         else:
             p, winners, labels = propagate_batch_winners(h, block, ids)
         if which in ("bce", "tm"):
-            terms, dvdp = _bce_terms(p, labels, cfg.epsilon)
+            terms, dvdp = _bce_terms(p, labels)
         else:
             terms, dvdp = _focal_terms(p, labels, cfg)
         values[rows] = terms.sum(axis=1)

@@ -146,7 +146,7 @@ def train(
     for step in range(cfg.iterations):
         logits = scorer.logits(x)
         if cfg.loss == "cce":
-            value, dlogits = cce_loss(h, logits, leaf_ids, focal.epsilon)
+            value, dlogits = cce_loss(h, logits, leaf_ids)
         else:
             s = 1.0 / (1.0 + np.exp(-logits))
             values, dvds = batch_loss(h, s, leaf_ids, cfg.loss, focal)
@@ -214,9 +214,7 @@ def _triplet_step(
     )
     if not triplets:
         return 0.0
-    idx = np.array([[t.anchor, t.pos, t.neg] for t in triplets], dtype=np.int64)
-    margins = np.array([t.margin for t in triplets])
-    flat_idx = idx.reshape(-1)
+    flat_idx = triplets.pixels.reshape(-1)
     z = project(x[flat_idx], proj).reshape(len(triplets), 3, -1)
     # the rectifier can zero an embedding outright; cosine distance is
     # undefined there, so such triplets contribute nothing
@@ -224,7 +222,7 @@ def _triplet_step(
     if not used.any():
         return 0.0
     values, g_a, g_p, g_n = batch_triplet_loss(
-        z[used, 0], z[used, 1], z[used, 2], margins[used]
+        z[used, 0], z[used, 1], z[used, 2], triplets.margin[used]
     )
     total = 0.0
     for v in values.tolist():  # in order, as a running sum

@@ -15,6 +15,7 @@ from hiertax.coherence import (
     propagate_grad,
     propagate_winners,
 )
+from hiertax.evaluation import decode_batch
 from hiertax.fields import IGNORE, LabelField, ScoreField
 from hiertax.gradcheck import central_difference, random_hierarchy, relative_error, tie_free_scores
 from hiertax.losses import batch_loss
@@ -194,6 +195,26 @@ def test_batch_kernels_reject_one_id_per_row_mismatch(tiny, leaf_ids):
     for which in ("bce", "focal", "tm", "ftm"):
         calls.append(lambda which=which: batch_loss(tiny, s, leaf_ids, which))
     message = f"expected 4 leaf ids, one per score row, got shape {re.escape(str(leaf_ids.shape))}"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_batch_kernels_reject_scores_of_another_width(tiny, extra):
+    """(N, |V| - 1) and (N, |V| + 1) scores are rejected by name, not by a
+    numpy indexing or broadcast error."""
+    s = np.random.default_rng(7).uniform(0, 1, size=(4, len(tiny) + extra))
+    leaf_ids = np.array([3, 4, 2, 3])
+    calls = [
+        lambda: propagate_batch(tiny, s, leaf_ids),
+        lambda: propagate_batch_winners(tiny, s, leaf_ids),
+        lambda: decode_batch(tiny, s),
+        lambda: coherence_violation_rate(tiny, s),
+    ]
+    for which in ("bce", "focal", "tm", "ftm"):
+        calls.append(lambda which=which: batch_loss(tiny, s, leaf_ids, which))
+    message = re.escape(f"expected scores of shape (N, 5), got {s.shape}")
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()

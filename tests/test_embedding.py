@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 import hiertax.training as training
 from hiertax.embedding import (
     _checked,
-    _has_triplet,
     ProjectionParams,
-    Triplet,
     TripletLossReport,
     batch_triplet_loss,
     cosine_distance,
@@ -103,41 +101,53 @@ class TestTreeTripletLoss:
                 assert relative_error(grad, numeric) < 1e-4
 
 
+def _rows(triplets) -> list[tuple]:
+    """``sample_triplets`` output as (anchor, pos, neg, margin) tuples."""
+    assert triplets.pixels.dtype == np.int64 and triplets.pixels.shape == (len(triplets), 3)
+    assert triplets.margin.dtype == np.float64 and triplets.margin.shape == (len(triplets),)
+    return [(*p, m) for p, m in zip(triplets.pixels.tolist(), triplets.margin.tolist())]
+
+
 class TestSampleTriplets:
     def test_single_label_batch_empty(self, tiny):
-        assert sample_triplets(tiny, [3] * 10, count=50, rng_seed=0) == []
+        assert _rows(sample_triplets(tiny, [3] * 10, count=50, rng_seed=0)) == []
 
     def test_validity_under_fuzz(self, three_level):
         rng = np.random.default_rng(3)
+        dist = three_level.tree_distance
         for seed in range(10):
             labels = rng.choice(three_level.leaves, size=30)
             triplets = sample_triplets(three_level, labels, count=40, rng_seed=seed)
-            for t in triplets:
-                assert three_level.tree_distance(t.anchor_leaf, t.pos_leaf) < three_level.tree_distance(
-                    t.anchor_leaf, t.neg_leaf
-                )
-                assert t.margin == pytest.approx(
-                    triplet_margin(three_level, t.anchor_leaf, t.pos_leaf, t.neg_leaf)
-                )
+            for (a, p, n), m in zip(labels[triplets.pixels].tolist(), triplets.margin):
+                assert dist(a, p) < dist(a, n)
+                assert m == pytest.approx(triplet_margin(three_level, a, p, n))
 
     def test_exact_count_and_reproducibility(self, three_level):
         rng = np.random.default_rng(4)
         labels = rng.choice(three_level.leaves, size=500)
-        a = sample_triplets(three_level, labels, count=200, rng_seed=123)
-        b = sample_triplets(three_level, labels, count=200, rng_seed=123)
+        a = _rows(sample_triplets(three_level, labels, count=200, rng_seed=123))
+        b = _rows(sample_triplets(three_level, labels, count=200, rng_seed=123))
         assert len(a) == 200
         assert a == b
-        c = sample_triplets(three_level, labels, count=200, rng_seed=124)
+        c = _rows(sample_triplets(three_level, labels, count=200, rng_seed=124))
         assert a != c
 
     def test_three_pixel_batch(self, tiny):
         # labels {a1, a2, B}: every valid triplet satisfies the psi inequality
-        triplets = sample_triplets(tiny, [3, 4, 2], count=100, rng_seed=5)
-        assert triplets
-        for t in triplets:
-            assert tiny.tree_distance(t.anchor_leaf, t.pos_leaf) < tiny.tree_distance(
-                t.anchor_leaf, t.neg_leaf
-            )
+        labels = np.array([3, 4, 2])
+        triplets = sample_triplets(tiny, labels, count=100, rng_seed=5)
+        assert len(triplets)
+        for a, p, n in labels[triplets.pixels].tolist():
+            assert tiny.tree_distance(a, p) < tiny.tree_distance(a, n)
+
+    @pytest.mark.parametrize("labels, bad", [
+        ([-1, 3, 4, 2, 3], -1),  # wrapped to node 4's distance row
+        ([0, 1, 3, 4, 2], 0),  # internal nodes sampled as leaves
+        ([3, 4, 7, 2], 7),  # out of range
+    ])
+    def test_non_leaf_label_rejected(self, tiny, labels, bad):
+        with pytest.raises(ValueError, match=f"label id {bad} is not a leaf of the hierarchy"):
+            sample_triplets(tiny, labels, count=20, rng_seed=0)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30), n=st.integers(3, 12))
@@ -150,17 +160,17 @@ def test_triplet_feasibility_matches_per_anchor_scan(seed, n_nodes, n):
     want = any(
         np.unique(h.dist[labels[a], np.delete(labels, a)]).size >= 2 for a in range(n)
     )
-    assert _has_triplet(h.dist, labels) == want
-    assert bool(sample_triplets(h, labels, count=1, rng_seed=seed)) == want
+    assert (len(sample_triplets(h, labels, count=1, rng_seed=seed)) > 0) == want
 
 
 def reference_sample_triplets(h, batch_labels, count=200, rng_seed=0, margin_base=0.1, max_tries=1000):
     """The per-draw sampler that ``sample_triplets`` replaced: one size-3
-    draw per candidate, up to ``max_tries`` candidates per triplet."""
+    draw per candidate, up to ``max_tries`` candidates per triplet. Returns
+    (anchor, pos, neg, margin) tuples."""
     labels = np.asarray(batch_labels, dtype=np.int64)
     n = labels.size
     dist = h.dist
-    if n < 3 or count <= 0 or not _has_triplet(dist, labels):
+    if n < 3 or count <= 0:
         return []
 
     rng = np.random.default_rng(rng_seed)
@@ -176,19 +186,10 @@ def reference_sample_triplets(h, batch_labels, count=200, rng_seed=0, margin_bas
                 continue
             if di > dj:
                 i, j = j, i
-            out.append(
-                Triplet(
-                    anchor=int(a),
-                    pos=int(i),
-                    neg=int(j),
-                    anchor_leaf=int(labels[a]),
-                    pos_leaf=int(labels[i]),
-                    neg_leaf=int(labels[j]),
-                    margin=triplet_margin(
-                        h, int(labels[a]), int(labels[i]), int(labels[j]), margin_base
-                    ),
-                )
+            margin = triplet_margin(
+                h, int(labels[a]), int(labels[i]), int(labels[j]), margin_base
             )
+            out.append((int(a), int(i), int(j), margin))
             break
         else:
             break  # retry budget exhausted; return what we have
@@ -213,7 +214,9 @@ def test_sample_triplets_matches_per_draw_reference(seed, n_nodes, n, count, max
         margin_base=float(rng.choice([0.0, 0.1, 0.37])),
         max_tries=max_tries,
     )
-    assert sample_triplets(h, labels, **kwargs) == reference_sample_triplets(h, labels, **kwargs)
+    assert _rows(sample_triplets(h, labels, **kwargs)) == reference_sample_triplets(
+        h, labels, **kwargs
+    )
 
 
 @pytest.mark.parametrize("max_tries", [10, 30, 100])
@@ -224,7 +227,7 @@ def test_sample_triplets_low_yield_matches_per_draw_reference(tiny, max_tries):
         labels = [3] + [2] * (n - 1)
         for seed in range(20):
             kwargs = dict(count=15, rng_seed=seed, max_tries=max_tries)
-            assert sample_triplets(tiny, labels, **kwargs) == reference_sample_triplets(
+            assert _rows(sample_triplets(tiny, labels, **kwargs)) == reference_sample_triplets(
                 tiny, labels, **kwargs
             ), (n, seed)
 
@@ -316,7 +319,7 @@ def reference_triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng):
     )
     if not triplets:
         return 0.0
-    idx = np.array([[t.anchor, t.pos, t.neg] for t in triplets], dtype=np.int64)
+    idx = np.array([t[:3] for t in triplets], dtype=np.int64)
     flat_idx = idx.reshape(-1)
     z = project(x[flat_idx], proj).reshape(len(triplets), 3, -1)
     upstream = np.zeros_like(z)
@@ -325,7 +328,7 @@ def reference_triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng):
     for i, t in enumerate(triplets):
         if not (z[i, 0].any() and z[i, 1].any() and z[i, 2].any()):
             continue
-        rep = reference_tree_triplet_loss(z[i, 0], z[i, 1], z[i, 2], t.margin)
+        rep = reference_tree_triplet_loss(z[i, 0], z[i, 1], z[i, 2], t[3])
         total += rep.value
         upstream[i, 0] = rep.grad_anchor
         upstream[i, 1] = rep.grad_pos

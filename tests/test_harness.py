@@ -255,3 +255,26 @@ def test_benchmark_tracer_binds_to_library(monkeypatch):
         assert all(t.sites.values())
     finally:
         t.uninstall()
+
+
+@pytest.mark.parametrize("one_leaf", [False, True])
+def test_benchmark_triplet_yield_counts_the_returned_triplets(monkeypatch, three_level, one_leaf):
+    """The benchmark's ``embedding.sample_triplets.yield`` is the share of the
+    requested triplets the sampler returned: all of them, or none for a
+    batch of one leaf."""
+    import hiertax.embedding
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracer
+
+    labels = np.random.default_rng(5).choice(three_level.leaves[: 1 if one_leaf else None], size=40)
+    count = 30
+    t = tracer.Tracer()
+    t.begin_op()
+    try:
+        result = hiertax.embedding.sample_triplets(three_level, labels, count=count, rng_seed=2)
+    finally:
+        metrics = t.end_op(0)
+    assert len(result) == (0 if one_leaf else count)
+    assert metrics["embedding.sample_triplets.calls"] == 1
+    assert metrics["embedding.sample_triplets.yield"] == len(result) / count
