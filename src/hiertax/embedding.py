@@ -92,10 +92,12 @@ def sample_triplets(
     tree distance from the anchor; otherwise the nearer one is the positive.
     Sampling stops after ``max_tries`` consecutive rejections, so a batch
     with no valid triplet (no anchor sees two distinct distances) ends by
-    that rule with no triplets. Raises ``ValueError`` naming the first label
-    that is not a leaf of ``h``.
+    that rule with no triplets. Raises ``ValueError`` for labels that are
+    not 1-D, and one naming the first label that is not a leaf of ``h``.
     """
     labels = np.asarray(batch_labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ValueError(f"expected a 1-D array of pixel labels, got shape {labels.shape}")
     h.leaf_positions(labels)
     n = labels.size
     dist = h.dist

@@ -33,16 +33,20 @@ def decode_batch(h: ClassHierarchy, s: np.ndarray) -> np.ndarray:
     lexicographically: highest sum first, then smallest leaf id.
     Accumulation runs leaf-to-root in float64, one row block widened at a
     time, so float results match per-path sequential summation exactly
-    whatever the input's float dtype.
+    whatever the input's float dtype; leaf ids are carried as int32. Raises
+    ``ValueError`` for a NaN score, which no path sum could be compared with.
     """
     s = np.asarray(s)
     _check_scores(h, s)
     out = np.empty(s.shape[0], dtype=np.int64)
+    ids = np.arange(len(h), dtype=np.int32)
     for rows in row_blocks(h, s.shape[0]):
         best = np.array(s[rows].T, dtype=np.float64, order="C")
-        leaf = np.broadcast_to(np.arange(len(h))[:, None], best.shape).copy()
-        for kids, starts, parents, group in h.bottom_up:
-            top, leaf[parents] = sibling_max(best, leaf, kids, starts, group)
+        if np.isnan(best).any():
+            raise ValueError("scores must not be NaN")
+        leaf = np.broadcast_to(ids[:, None], best.shape).copy()
+        for kids, starts, parents, group, fan in h.bottom_up:
+            top, leaf[parents] = sibling_max(best, leaf, kids, starts, group, fan)
             best[parents] += top
         out[rows] = leaf[h.root]
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import (
-    _check_scores,
+    _dp_scores,
     _leaf_rows,
     field_blocks,
     propagate_batch_winners,
@@ -93,34 +93,48 @@ def cce_loss(
 
 
 def _bce_terms(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node BCE values and d/dp at the clipped scores."""
+    """Per-node BCE values -log q and d/dp at the clipped scores, where q is
+    the score of the true label: p on positives, 1 - p on negatives. One
+    branch per cell gives the same bits as evaluating both."""
     pc = _clip(p)
-    pos = labels.astype(np.float64)
-    values = -pos * np.log(pc) - (1.0 - pos) * np.log(1.0 - pc)
-    dvdp = -pos / pc + (1.0 - pos) / (1.0 - pc)
-    return values, dvdp
+    pos = np.asarray(labels, dtype=bool)
+    q = np.where(pos, pc, 1.0 - pc)
+    inv = 1.0 / q
+    return -np.log(q), np.where(pos, -inv, inv)
+
+
+def _true_label_scores(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(pos, q, r)``: the labels as bool, each cell's clipped score of its
+    true label and the complement r = 1 - q, taken from p, not from q."""
+    pc = _clip(p)
+    rest = 1.0 - pc
+    pos = np.asarray(labels, dtype=bool)
+    return pos, np.where(pos, pc, rest), np.where(pos, rest, pc)
 
 
 def _focal_terms(
     p: np.ndarray, labels: np.ndarray, cfg: FocalConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node focal BCE values and d/dp.
+    """Per-node focal BCE values -r^g log q and d/dp at the clipped scores.
 
-    Positive term: -(1-p)^g log p; negative term: -p^g log(1-p).
+    Positive term: -(1-p)^g log p; negative term: -p^g log(1-p). One
+    branch per cell gives the same bits as evaluating both.
     """
     g = cfg.gamma
-    pc = _clip(p)
-    pos = labels.astype(np.float64)
-    logp = np.log(pc)
-    log1p = np.log(1.0 - pc)
-    values = -pos * (1.0 - pc) ** g * logp - (1.0 - pos) * pc**g * log1p
-    d_pos = -((1.0 - pc) ** g) / pc
-    d_neg = pc**g / (1.0 - pc)
+    pos, q, r = _true_label_scores(p, labels)
+    logq = np.log(q)
+    values = r**g
+    dq = values / q
+    np.negative(dq, out=dq)  # -(r^g) / q
     if g > 0:
-        d_pos = d_pos + g * (1.0 - pc) ** (g - 1.0) * logp
-        d_neg = d_neg - g * pc ** (g - 1.0) * log1p
-    dvdp = pos * d_pos + (1.0 - pos) * d_neg
-    return values, dvdp
+        # + g r^(g-1) log q, built in r's buffer
+        r **= g - 1.0
+        r *= g
+        r *= logq
+        dq += r
+    values *= logq
+    np.negative(values, out=values)  # -(r^g) log q
+    return values, np.where(pos, dq, -dq)
 
 
 def _binary(s: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,13 +201,14 @@ def batch_loss(
     """Per-row loss values and gradients for N score vectors at once.
 
     Row order and the sequential reduction order are fixed, so results are
-    bit-identical however the rows were produced.
+    bit-identical however the rows were produced. Propagation runs in the
+    scores' dtype (see ``coherence.propagate_batch``); only the propagated
+    block is widened to float64 for the loss terms, which is exact.
     """
     cfg = cfg or FocalConfig()
     if which not in FIELD_LOSSES:
         raise ValueError(f"unknown field loss {which!r}; expected one of {FIELD_LOSSES}")
-    s = np.asarray(s, dtype=np.float64)
-    _check_scores(h, s)
+    s = _dp_scores(h, s)
     leaf_ids = np.asarray(leaf_ids)
     n, width = s.shape
     # A block's slice of N + 1 ids would still match its rows.
@@ -207,6 +222,7 @@ def batch_loss(
             p, labels = block, _leaf_rows(h, ids, len(block))
         else:
             p, winners, labels = propagate_batch_winners(h, block, ids)
+        p = p.astype(np.float64, copy=False)
         if which in ("bce", "tm"):
             terms, dvdp = _bce_terms(p, labels)
         else:
@@ -235,8 +251,9 @@ def field_loss(
     """Mean per-pixel loss over non-ignored pixels plus the float64
     gradient field.
 
-    ``batch_loss`` runs on one row block's valid pixels at a time, so only
-    that block is widened to float64. The per-pixel values are gathered in
+    ``batch_loss`` runs on one row block's valid pixels at a time: it
+    propagates them in the field's dtype and widens only the propagated
+    block to float64. The per-pixel values are gathered in
     pixel order and summed once, as over the whole field.
     """
     blocks = field_blocks(h, scores, gt)

@@ -38,11 +38,12 @@ class ClassHierarchy:
     dist: np.ndarray = field(repr=False, compare=False)  # |V| x |V| tree distances in edges
     # Per depth 1, 2, ...: (nodes at that depth, their parents).
     top_down: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
-    # Per depth, deepest first: (kids, starts, parents, group). ``kids`` are
-    # the nodes at that depth sorted by parent, ``starts`` the ``reduceat``
-    # offset of each parent's run of kids, ``parents`` the parent of each
-    # run and ``group`` the run index of each kid.
-    bottom_up: tuple[tuple[np.ndarray, ...], ...] = field(repr=False, compare=False)
+    # Per depth, deepest first: (kids, starts, parents, group, fan). ``kids``
+    # are the nodes at that depth sorted by parent, ``starts`` the
+    # ``reduceat`` offset of each parent's run of kids, ``parents`` the
+    # parent of each run, ``group`` the run index of each kid and ``fan``
+    # (an int) the length every run shares, or 0 when run lengths differ.
+    bottom_up: tuple[tuple, ...] = field(repr=False, compare=False)
     # |V| x |V| bool; ancestor_mask[v, u] is True when u is on v's chain
     # (v included), so row ``leaf`` is the leaf's label expansion.
     ancestor_mask: np.ndarray = field(repr=False, compare=False)
@@ -161,7 +162,8 @@ def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:
     height = level[root] - 1
 
     # Tables for the array kernels: nodes per depth with their parents, and
-    # per depth the kids grouped by parent for np.<ufunc>.reduceat.
+    # per depth the kids grouped by parent for np.<ufunc>.reduceat, or for
+    # a (runs, fan, B) reshape when every run has the same length.
     depth_arr = np.array(depth, dtype=np.int64)
     parent_arr = np.array(parent, dtype=np.int64)
     top_down = []
@@ -173,7 +175,10 @@ def build_hierarchy(names: list[str], parent: list[int]) -> ClassHierarchy:
         first = np.ones(kids.size, dtype=bool)
         first[1:] = parent_arr[kids[1:]] != parent_arr[kids[:-1]]
         starts = np.flatnonzero(first)
-        bottom_up.append(_frozen(kids, starts, parent_arr[kids[starts]], np.cumsum(first) - 1))
+        runs = np.diff(starts, append=kids.size)
+        fan = int(runs[0]) if (runs == runs[0]).all() else 0
+        step = _frozen(kids, starts, parent_arr[kids[starts]], np.cumsum(first) - 1)
+        bottom_up.append((*step, fan))
 
     # anc[v, u]: u is on v's chain. Its transpose marks each node's subtree,
     # so it must be complete before the distance pass reads deeper rows:

@@ -43,3 +43,9 @@ def three_level() -> ClassHierarchy:
 
 def random_scores(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=n)
+
+
+def assert_same_bits(have: np.ndarray, want: np.ndarray) -> None:
+    """Equal float64 arrays down to the sign of every zero."""
+    assert have.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(have.view(np.int64), want.view(np.int64))

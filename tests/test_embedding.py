@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -147,6 +149,12 @@ class TestSampleTriplets:
     ])
     def test_non_leaf_label_rejected(self, tiny, labels, bad):
         with pytest.raises(ValueError, match=f"label id {bad} is not a leaf of the hierarchy"):
+            sample_triplets(tiny, labels, count=20, rng_seed=0)
+
+    @pytest.mark.parametrize("labels", [[[3, 4], [2, 3], [4, 2]], 3])
+    def test_labels_not_1d_rejected(self, tiny, labels):
+        shape = np.shape(labels)
+        with pytest.raises(ValueError, match=rf"1-D .* got shape {re.escape(str(shape))}"):
             sample_triplets(tiny, labels, count=20, rng_seed=0)
 
 

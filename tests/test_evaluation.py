@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hiertax.coherence import check_negative_constraint, check_positive_constraint, expand_labels
 from hiertax.evaluation import (
     LevelScore,
+    decode_batch,
     decode_field,
     decode_path,
     evaluate_all_levels,
@@ -140,6 +141,25 @@ class TestDecode:
         s = np.array([0.9, 0.5, 0.8, 0.7, 0.2])
         pred = decode_field(tiny, ScoreField(s.reshape(1, 1, -1)))
         assert pred.leaf[0, 0] == decode_path(tiny, s)
+
+    @pytest.mark.parametrize("row", [
+        [np.nan, 0.1, 0.2, 0.3, 0.4],
+        [0.5, np.nan, 0.9, 0.9, 0.9],
+        [0.1, 0.9, 0.1, np.nan, 0.2],
+    ])
+    def test_nan_score_rejected(self, tiny, row):
+        """Every depth of ``tiny`` has even sibling runs; the second tree's
+        leaf depth has runs of 3 and 1, so ``reduceat`` reduces it."""
+        uneven = build_hierarchy(["r", "A", "B", "a1", "a2", "a3", "b1"], [-1, 0, 0, 1, 1, 1, 2])
+        assert [step[-1] for step in tiny.bottom_up] == [2, 2]
+        assert [step[-1] for step in uneven.bottom_up] == [0, 2]
+        for h, s in ((tiny, row), (uneven, row + [0.5, 0.6])):
+            batch = np.tile(np.array(s), (3, 1))
+            batch[0] = 0.5
+            with pytest.raises(ValueError, match="scores must not be NaN"):
+                decode_batch(h, batch)
+        with pytest.raises(ValueError, match="scores must not be NaN"):
+            decode_path(uneven, np.array([0.5, 0.2, 0.1, 0.3, 0.3, np.nan, 0.9]))
 
     def test_constant_shift_invariance_equal_depth(self, three_level):
         rng = np.random.default_rng(2)

@@ -13,7 +13,11 @@ from hiertax.gradcheck import (
     tie_free_scores,
 )
 from hiertax.losses import (
+    EPSILON,
     FocalConfig,
+    _bce_terms,
+    _clip,
+    _focal_terms,
     bce_loss,
     cce_loss,
     field_loss,
@@ -21,6 +25,8 @@ from hiertax.losses import (
     focal_tree_min_loss,
     tree_min_loss,
 )
+
+from conftest import assert_same_bits
 
 
 class TestCCE:
@@ -248,3 +254,71 @@ class TestFieldLoss:
         gt = LabelField(np.array([[3]], dtype=np.uint32))
         with pytest.raises(ValueError, match="unknown field loss"):
             field_loss(tiny, scores, gt, "nope")
+
+
+def reference_bce_terms(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two-branch BCE terms: both branches for every cell, masked by the labels."""
+    pc = _clip(p)
+    pos = labels.astype(np.float64)
+    values = -pos * np.log(pc) - (1.0 - pos) * np.log(1.0 - pc)
+    dvdp = -pos / pc + (1.0 - pos) / (1.0 - pc)
+    return values, dvdp
+
+
+def reference_focal_terms(
+    p: np.ndarray, labels: np.ndarray, cfg: FocalConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two-branch focal terms.
+
+    Positive term: -(1-p)^g log p; negative term: -p^g log(1-p).
+    """
+    g = cfg.gamma
+    pc = _clip(p)
+    pos = labels.astype(np.float64)
+    logp = np.log(pc)
+    log1p = np.log(1.0 - pc)
+    values = -pos * (1.0 - pc) ** g * logp - (1.0 - pos) * pc**g * log1p
+    d_pos = -((1.0 - pc) ** g) / pc
+    d_neg = pc**g / (1.0 - pc)
+    if g > 0:
+        d_pos = d_pos + g * (1.0 - pc) ** (g - 1.0) * logp
+        d_neg = d_neg - g * pc ** (g - 1.0) * log1p
+    dvdp = pos * d_pos + (1.0 - pos) * d_neg
+    return values, dvdp
+
+
+# Scores at and around the clip bounds, and exact 0, 1/2 and 1.
+SATURATED = np.array([0.0, EPSILON / 2, EPSILON, 2 * EPSILON, 0.5,
+                      1 - 2 * EPSILON, 1 - EPSILON, 1 - EPSILON / 2, 1.0])
+
+
+def _term_blocks(n_blocks: int = 300):
+    """Score blocks, uniform, exact 0/1, quantised or saturated, each with
+    random 0/1 labels as bool or int8."""
+    rng = np.random.default_rng(0)
+    for b in range(n_blocks):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 16)))
+        kind = b % 4
+        if kind == 0:
+            p = rng.random(shape)
+        elif kind == 1:
+            p = rng.integers(0, 2, shape).astype(np.float64)
+        elif kind == 2:
+            p = rng.integers(0, 9, shape) / 8
+        else:
+            p = rng.choice(SATURATED, shape)
+        labels = rng.integers(0, 2, shape).astype(bool if b % 2 else np.int8)
+        yield p, labels
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 3.7])
+def test_one_branch_terms_match_two_branch_reference(gamma):
+    """The kernels evaluate one branch per cell; values and gradients keep
+    every bit of the two-branch form, signs of zeros included."""
+    cfg = FocalConfig(gamma)
+    for p, labels in _term_blocks():
+        for have, want in zip(_focal_terms(p, labels, cfg), reference_focal_terms(p, labels, cfg)):
+            assert_same_bits(have, want)
+        if gamma == 0.0:
+            for have, want in zip(_bce_terms(p, labels), reference_bce_terms(p, labels)):
+                assert_same_bits(have, want)

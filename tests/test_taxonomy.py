@@ -158,8 +158,12 @@ def test_leaf_index_and_level_targets_match_chain_walks(seed, n_nodes):
                 target = u
             assert h.level_targets[level - 1, v] == target
     tables = [h.dist, h.ancestor_mask, h.leaf_index, h.level_targets]
-    tables += [a for group in h.top_down + h.bottom_up for a in group]
+    tables += [a for group in h.top_down for a in group]
+    tables += [a for *arrays, _fan in h.bottom_up for a in arrays]
     assert all(not a.flags.writeable for a in tables)
+    for kids, starts, _parents, _group, fan in h.bottom_up:
+        runs = np.diff(starts, append=kids.size)
+        assert fan == (runs[0] if len(set(runs.tolist())) == 1 else 0)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 60))

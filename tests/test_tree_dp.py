@@ -1,8 +1,10 @@
 """Property tests: the row-blocked tree-DP kernels and the ancestor-mask
 constraint checks against brute force.
 
-Random recursive trees with quantised scores, so that ties between nodes
-are common; every tie must resolve to the smallest node (or leaf) id.
+Random recursive trees, and regular trees with shuffled node ids, with
+quantised scores, so that ties between nodes are common; every tie must
+resolve to the smallest node (or leaf) id. The quantised scores are exact
+in float32, and float32 input must give exactly the float64 results.
 """
 
 import json
@@ -23,20 +25,48 @@ from hiertax.coherence import (
     expand_labels,
     propagate_batch,
     propagate_batch_winners,
+    sibling_max,
     tree_extrema,
 )
 from hiertax.evaluation import decode_batch
 from hiertax.gradcheck import random_hierarchy
-from hiertax.losses import batch_loss, focal_tree_min_loss, tree_min_loss
+from hiertax.losses import FIELD_LOSSES, batch_loss, focal_tree_min_loss, tree_min_loss
+from hiertax.taxonomy import build_hierarchy
 from hiertax.training import coherence_violation_rate
+
+from conftest import assert_same_bits
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def regular_hierarchy(rng: np.random.Generator, n_nodes: int):
+    """A tree of at most ``n_nodes`` nodes in which every node at one depth
+    has the same number of kids (1 to 3), so each depth's sibling runs share
+    one length. Node ids are shuffled: a parent may come after its kids, and
+    sibling runs are not runs of consecutive ids."""
+    parent, frontier = [-1], [0]
+    while True:
+        fan = int(rng.integers(1, 4))
+        if len(parent) + fan * len(frontier) > n_nodes:
+            break
+        start = len(parent)
+        parent += [p for p in frontier for _ in range(fan)]
+        frontier = list(range(start, len(parent)))
+    new_id = rng.permutation(len(parent))
+    shuffled = [-1] * len(parent)
+    for v, p in enumerate(parent):
+        if p != -1:
+            shuffled[new_id[v]] = int(new_id[p])
+    return build_hierarchy([f"n{v}" for v in range(len(parent))], shuffled)
+
+
 def _case(seed: int, n_nodes: int, n_rows: int, levels: int = 4):
+    """A random recursive or regular tree of at most ``n_nodes`` nodes, one
+    of two by the seed, with quantised scores and random leaf labels."""
     rng = np.random.default_rng(seed)
-    h = random_hierarchy(rng, n_nodes)
-    s = rng.integers(0, levels + 1, size=(n_rows, n_nodes)) / levels
+    tree = regular_hierarchy if rng.random() < 0.5 else random_hierarchy
+    h = tree(rng, n_nodes)
+    s = rng.integers(0, levels + 1, size=(n_rows, len(h))) / levels
     leaf_ids = rng.choice(np.array(h.leaves, dtype=np.int64), size=n_rows)
     return h, s, leaf_ids
 
@@ -138,6 +168,42 @@ def test_extrema_and_winners_match_brute_force(seed, n_nodes, n_rows):
     np.testing.assert_array_equal(winners, np.where(pos, amin_w, dmax_w))
     np.testing.assert_array_equal(propagate_batch(h, s, leaf_ids), p)
 
+    # Winner ids are int32, and a float32 block is propagated in float32 to
+    # exactly the float64 values and winners.
+    s32 = s.astype(np.float32)
+    got32 = tree_extrema(h, s32, winners=True)
+    assert [a.dtype for a in got] == [np.float64] * 2 + [np.int32] * 2
+    assert [a.dtype for a in got32] == [np.float32] * 2 + [np.int32] * 2
+    for want, have in zip(got, got32):
+        np.testing.assert_array_equal(have, want)
+    p32, winners32, mask32 = propagate_batch_winners(h, s32, leaf_ids)
+    assert (p32.dtype, winners.dtype, winners32.dtype) == (np.float32, np.int32, np.int32)
+    np.testing.assert_array_equal(p32, p)
+    np.testing.assert_array_equal(winners32, winners)
+    np.testing.assert_array_equal(mask32, mask)
+    prop32 = propagate_batch(h, s32, leaf_ids)
+    assert prop32.dtype == np.float32
+    np.testing.assert_array_equal(prop32, p)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30), n_rows=st.integers(1, 20))
+def test_sibling_max_matches_per_run_scan(seed, n_nodes, n_rows):
+    """Both reductions, the (runs, fan, B) view and ``reduceat``, against a
+    scan of each run; the ids keep their int32 dtype, which a Python-int
+    offset in the tie-break would widen to int64."""
+    h, s, _ = _case(seed, n_nodes, n_rows)
+    vals = s.T.copy()
+    ids = np.broadcast_to(np.arange(len(h), dtype=np.int32)[:, None], vals.shape).copy()
+    for kids, starts, _parents, group, fan in h.bottom_up:
+        best, best_id = sibling_max(vals, ids, kids, starts, group, fan)
+        assert best_id.dtype == np.int32
+        assert sibling_max(vals, None, kids, starts, group, fan)[1] is None
+        for r, run in enumerate(np.split(kids, starts[1:])):
+            np.testing.assert_array_equal(best[r], vals[run].max(axis=0))
+            tied = vals[run] == best[r]
+            want = [run[tied[:, c]].min() for c in range(n_rows)]
+            np.testing.assert_array_equal(best_id[r], want)
+
 
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 20), n_rows=st.integers(1, 12))
 def test_tree_min_batch_loss_matches_scalar_losses(seed, n_nodes, n_rows):
@@ -148,12 +214,21 @@ def test_tree_min_batch_loss_matches_scalar_losses(seed, n_nodes, n_rows):
             rep = scalar(h, s[r], expand_labels(h, int(leaf)))
             assert values[r] == rep.value
             np.testing.assert_array_equal(grad[r], rep.grad)
+    # Every loss on the float32 copy: the same float64 bits.
+    for which in FIELD_LOSSES:
+        values, grad = batch_loss(h, s, leaf_ids, which)
+        values32, grad32 = batch_loss(h, s.astype(np.float32), leaf_ids, which)
+        assert_same_bits(values32, values)
+        assert_same_bits(grad32, grad)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 20), n_rows=st.integers(1, 30))
 def test_decode_batch_matches_path_enumeration(seed, n_nodes, n_rows):
     h, s, _ = _case(seed, n_nodes, n_rows, levels=3)
     np.testing.assert_array_equal(decode_batch(h, s), brute_decode(h, s))
+    # Thirds round in float32; the paths are summed from the rounded values.
+    s32 = s.astype(np.float32)
+    np.testing.assert_array_equal(decode_batch(h, s32), brute_decode(h, s32.astype(np.float64)))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 20), n_rows=st.integers(1, 40))
