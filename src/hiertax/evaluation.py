@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _check_scores, row_blocks, sibling_max
+from .coherence import _check_scores, row_blocks, run_blocks, shared_zeros, sibling_max
 from .fields import LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
@@ -61,10 +61,24 @@ def decode_path(h: ClassHierarchy, s: np.ndarray) -> int:
 
 
 def decode_field(h: ClassHierarchy, scores: ScoreField) -> LabelField:
-    """Per-pixel best-path decode over a whole score field."""
+    """Per-pixel best-path decode over a whole score field.
+
+    The row blocks are split between ``coherence.run_blocks`` workers, one
+    per usable CPU with at least ``MIN_BLOCKS`` blocks each; each decodes
+    its own rows into a ``shared_zeros`` label array. The caller's peak
+    RSS does not include the pages its workers touch.
+    """
     scores.check_hierarchy(h)
     flat = scores.scores.reshape(-1, len(h))
-    leaves = decode_batch(h, flat).astype(np.uint32)
+    leaves = shared_zeros((len(flat),), np.uint32)
+
+    def work(part: list) -> None:
+        # A range starts on a block boundary, so decode_batch walks the
+        # same blocks it would walk over the whole field.
+        rows = slice(part[0].start, part[-1].stop) if part else slice(0, 0)
+        leaves[rows] = decode_batch(h, flat[rows])
+
+    run_blocks(row_blocks(h, len(flat)), work)
     return LabelField(leaf=leaves.reshape(scores.height, scores.width))
 
 

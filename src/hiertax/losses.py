@@ -27,6 +27,8 @@ from .coherence import (
     propagate_batch_winners,
     propagate_winners,
     row_blocks,
+    run_blocks,
+    shared_zeros,
 )
 from .fields import LabelField, ScoreField
 from .taxonomy import ClassHierarchy
@@ -203,7 +205,8 @@ def batch_loss(
     Row order and the sequential reduction order are fixed, so results are
     bit-identical however the rows were produced. Propagation runs in the
     scores' dtype (see ``coherence.propagate_batch``); only the propagated
-    block is widened to float64 for the loss terms, which is exact.
+    block is widened to float64 for the loss terms, which is exact. A NaN
+    score raises ``ValueError``.
     """
     cfg = cfg or FocalConfig()
     if which not in FIELD_LOSSES:
@@ -238,6 +241,10 @@ def batch_loss(
             grad[rows] = np.bincount(
                 cells.ravel(), weights=dvdp.ravel(), minlength=b * width
             ).reshape(b, width)
+    # Values are finite unless their row holds a NaN score, which makes
+    # the value NaN; so is the sum then, and only then.
+    if np.isnan(values.sum()):
+        raise ValueError("scores must not be NaN")
     return values, grad
 
 
@@ -253,20 +260,31 @@ def field_loss(
 
     ``batch_loss`` runs on one row block's valid pixels at a time: it
     propagates them in the field's dtype and widens only the propagated
-    block to float64. The per-pixel values are gathered in
-    pixel order and summed once, as over the whole field.
+    block to float64. The blocks are split between ``coherence.run_blocks``
+    workers, one per usable CPU with at least ``MIN_BLOCKS`` blocks each,
+    which write the gradient and the per-pixel values into
+    ``shared_zeros`` memory; the values sit in pixel order and are summed
+    once, as over the whole field, after every worker has ended. The
+    caller's peak RSS does not include the pages its workers touch.
     """
     blocks = field_blocks(h, scores, gt)
     flat_s = scores.scores.reshape(-1, len(h))
-    grad = np.zeros(flat_s.shape)
-    n = int(np.count_nonzero(gt.valid_mask()))
+    flat_l = gt.leaf.reshape(-1)
+    grad = shared_zeros(flat_s.shape, np.float64)
+    # Each block's values start after the valid pixels of the blocks before it.
+    counts = [np.count_nonzero(valid) for _, valid in blocks]
+    starts = np.cumsum([0] + counts).tolist()
+    n = starts[-1]
     if n == 0:
         return 0.0, grad.reshape(scores.scores.shape)
-    values = np.empty(n)
-    done = 0
-    for rows, valid, ids in blocks:
-        v, g = batch_loss(h, flat_s[rows][valid], ids, which, cfg)
-        values[done:done + v.size] = v
-        done += v.size
-        grad[rows][valid] = g / n
+    values = shared_zeros((n,), np.float64)
+
+    def work(part: list) -> None:
+        for (rows, valid), at in part:
+            ids = flat_l[rows][valid].astype(np.int64)
+            v, g = batch_loss(h, flat_s[rows][valid], ids, which, cfg)
+            values[at:at + v.size] = v
+            grad[rows][valid] = g / n
+
+    run_blocks(list(zip(blocks, starts)), work)
     return float(values.sum() / n), grad.reshape(scores.scores.shape)

@@ -149,7 +149,14 @@ def train(
             value, dlogits = cce_loss(h, logits, leaf_ids)
         else:
             s = 1.0 / (1.0 + np.exp(-logits))
-            values, dvds = batch_loss(h, s, leaf_ids, cfg.loss, focal)
+            try:
+                values, dvds = batch_loss(h, s, leaf_ids, cfg.loss, focal)
+            except ValueError:
+                if np.isnan(s).any():  # the scorer diverged
+                    raise TrainingDivergedError(
+                        f"non-finite segmentation loss at step {step}"
+                    ) from None
+                raise
             value = float(values.mean())
             dlogits = (dvds / n) * s * (1.0 - s)
         if not np.isfinite(value):

@@ -6,9 +6,16 @@ build (N, |V|) arrays over all valid pixels. The blocked versions must
 match them bit for bit on random trees with quantised (tied) scores, for
 float32 fields as read from files and for float64 fields, whatever share
 of the pixels is ignored. ``test_tree_dp`` bounds their peak RSS.
+
+The field paths split their blocks between forked ``run_blocks`` workers.
+The worker tests force the worker count through a patched CPU count, so
+they fork on a one-CPU machine too, and check that no child outlives a
+call.
 """
 
+import os
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,7 +23,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hiertax.coherence import BLOCK_ELEMS, propagate_batch, propagate_field
+from hiertax import coherence
+from hiertax.coherence import (
+    BLOCK_ELEMS,
+    MIN_BLOCKS,
+    propagate_batch,
+    propagate_field,
+    run_blocks,
+)
 from hiertax.evaluation import decode_field
 from hiertax.fields import (
     IGNORE,
@@ -28,6 +42,9 @@ from hiertax.fields import (
 )
 from hiertax.gradcheck import random_hierarchy
 from hiertax.losses import FIELD_LOSSES, batch_loss, field_loss
+from hiertax.taxonomy import load_taxonomy
+
+from conftest import TAX_DIR
 
 
 def reference_propagate_field(h, scores, labels):
@@ -161,3 +178,144 @@ def test_score_field_keeps_float32_and_widens_other_dtypes():
     assert ScoreField(s).scores is s
     assert ScoreField(s.astype(np.float16)).scores.dtype == np.float64
     assert ScoreField(s.astype(">f4")).scores.dtype == np.float64
+
+
+def _use_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(coherence, "_usable_cpus", lambda: n)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _mapillary_case(dtype):
+    """A 100x128 Mapillary field: 115 blocks of 112 rows, enough for three
+    workers, with 10% of the pixels ignored."""
+    h = load_taxonomy(os.path.join(TAX_DIR, "mapillary_vistas.tax"))
+    rng = np.random.default_rng(4)
+    shape = (100, 128)
+    s = rng.random((*shape, len(h))).astype(dtype)
+    leaf = np.array(h.leaves, dtype=np.uint32)[rng.integers(0, len(h.leaves), size=shape)]
+    leaf[rng.random(shape) < 0.1] = IGNORE
+    leaf[-1, -1] = h.leaves[0]  # the last pixel, in the last worker's range, counts
+    return h, ScoreField(s), LabelField(leaf)
+
+
+def _field_outputs(h, scores, labels) -> dict:
+    out = {
+        "propagate": propagate_field(h, scores, labels).scores,
+        "decode": decode_field(h, scores).leaf,
+    }
+    for which in FIELD_LOSSES:
+        value, out[which] = field_loss(h, scores, labels, which)
+        out[which + " value"] = np.float64(value)
+    return out
+
+
+def _assert_same_outputs(got: dict, want: dict) -> None:
+    for key, value in want.items():
+        assert got[key].dtype == value.dtype, key
+        assert got[key].tobytes() == value.tobytes(), key
+
+
+def _counted_forks(monkeypatch, refuse=lambda attempt: False) -> list:
+    """Patch ``os.fork`` to list the children it makes, and to raise
+    ``OSError`` on the attempts (counted from 0) that ``refuse`` names."""
+    real_fork, pids, attempts = os.fork, [], []
+
+    def fork():
+        attempts.append(None)
+        if refuse(len(attempts) - 1):
+            raise OSError("fork refused")
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+# propagate_field, decode_field and field_loss of each kind
+FIELD_CALLS = 2 + len(FIELD_LOSSES)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_worker_outputs_equal_serial_outputs(monkeypatch, dtype):
+    h, scores, labels = _mapillary_case(dtype)
+    _use_cpus(monkeypatch, 1)
+    serial = _field_outputs(h, scores, labels)
+    pids = _counted_forks(monkeypatch)
+    _use_cpus(monkeypatch, 3)
+    _assert_same_outputs(_field_outputs(h, scores, labels), serial)
+    assert len(pids) == 2 * FIELD_CALLS
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("children", [0, 1])
+def test_a_failed_fork_gives_the_serial_result(monkeypatch, children):
+    """Each call's first fork succeeds or not, its second fails; the caller
+    takes over every block no child was given."""
+    h, scores, labels = _mapillary_case(np.float32)
+    _use_cpus(monkeypatch, 1)
+    serial = _field_outputs(h, scores, labels)
+    pids = _counted_forks(monkeypatch, lambda attempt: not children or attempt % 2)
+    _use_cpus(monkeypatch, 3)
+    _assert_same_outputs(_field_outputs(h, scores, labels), serial)
+    assert len(pids) == children * FIELD_CALLS
+    _assert_no_child_left()
+
+
+def test_a_workers_exception_reaches_the_caller(monkeypatch):
+    """The same type and message, from the first failing range."""
+    _use_cpus(monkeypatch, 3)
+
+    def work(part):
+        if part[0]:
+            raise LookupError(f"range from block {part[0]}")
+
+    with pytest.raises(LookupError) as raised:
+        run_blocks(list(range(3 * MIN_BLOCKS)), work)
+    assert type(raised.value) is LookupError
+    assert str(raised.value) == f"range from block {MIN_BLOCKS}"
+    _assert_no_child_left()
+
+
+def test_a_nan_set_after_construction_raises_through_a_worker(monkeypatch):
+    h, scores, labels = _mapillary_case(np.float32)
+    scores.scores[-1, -1, 0] = np.nan
+    _use_cpus(monkeypatch, 3)
+    pids = _counted_forks(monkeypatch)
+    runs = [lambda: propagate_field(h, scores, labels), lambda: decode_field(h, scores)]
+    runs += [lambda w=w: field_loss(h, scores, labels, w) for w in FIELD_LOSSES]
+    for run in runs:
+        with pytest.raises(ValueError, match="^scores must not be NaN$"):
+            run()
+    assert len(pids) == 2 * FIELD_CALLS
+    _assert_no_child_left()
+
+
+def test_a_failure_in_the_callers_range_kills_its_workers(monkeypatch):
+    _use_cpus(monkeypatch, 3)
+
+    def work(part):
+        if not part[0]:
+            raise LookupError("the caller's range")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(LookupError, match="the caller's range"):
+        run_blocks(list(range(3 * MIN_BLOCKS)), work)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_an_empty_field_gives_empty_outputs(tiny):
+    """mmap rejects a length of 0, so an empty output still maps a byte."""
+    scores = ScoreField(np.zeros((0, 3, 5), dtype=np.float32))
+    labels = LabelField(np.zeros((0, 3), dtype=np.uint32))
+    assert propagate_field(tiny, scores, labels).scores.shape == (0, 3, 5)
+    value, grad = field_loss(tiny, scores, labels, "ftm")
+    assert value == 0.0 and grad.shape == (0, 3, 5)
+    assert decode_field(tiny, scores).leaf.shape == (0, 3)

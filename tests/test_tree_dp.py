@@ -266,6 +266,35 @@ def test_results_do_not_depend_on_blocking(n_nodes):
         assert coherence_violation_rate(h, s) == brute_violation_rate(h, s)
 
 
+NAN_KERNELS = {
+    "propagate_batch": propagate_batch,
+    "propagate_batch_winners": propagate_batch_winners,
+    **{f"batch_loss({w})": lambda h, s, ids, w=w: batch_loss(h, s, ids, w) for w in FIELD_LOSSES},
+}
+
+
+@pytest.mark.parametrize("kernel", NAN_KERNELS.values(), ids=NAN_KERNELS.keys())
+def test_kernels_reject_a_nan_score(tiny, kernel):
+    """Row [.5, .2, .3, nan, .9] with leaf B: propagation once returned a
+    NaN for A with node 1 as its winner, and batch_loss a NaN value."""
+    s = np.array([[0.5, 0.2, 0.3, np.nan, 0.9], [0.5, 0.2, 0.3, 0.4, 0.9]])
+    with pytest.raises(ValueError, match="scores must not be NaN"):
+        kernel(tiny, s, np.array([2, 2]))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30), n_rows=st.integers(1, 40))
+def test_kernels_reject_a_nan_at_any_node(seed, n_nodes, n_rows):
+    """The tree DP finds a NaN through the root's descendant-max, whichever
+    node of whichever row holds it, on even and uneven trees."""
+    h, s, leaf_ids = _case(seed, n_nodes, n_rows)
+    rng = np.random.default_rng(seed)
+    s[rng.integers(n_rows), rng.integers(len(h))] = np.nan
+    for name, kernel in NAN_KERNELS.items():
+        with pytest.raises(ValueError, match="scores must not be NaN"):
+            kernel(h, s.astype(np.float32), leaf_ids)
+            pytest.fail(name)
+
+
 @pytest.mark.parametrize("n_rows", [1, 2])
 def test_callers_scores_are_never_modified(n_rows):
     """A one-row block transposes to a view of the caller's array; the
@@ -309,10 +338,30 @@ print(json.dumps({"base_kb": base, "peak_kb": peak,
 RSS_MARGIN_MB = 48
 
 FIELD_RSS_CODE = """\
-import json, sys
+import json, resource, sys
 import numpy as np
 import hiertax
 from hiertax.fields import IGNORE, LabelField, ScoreField
+
+def anon_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("RssAnon:"))
+
+workers_kb = 0
+def in_workers(call, *args):
+    # A forked worker starts with the caller's anonymous pages (their
+    # page-table entries are copied at fork; shared and file pages are
+    # not), so its ru_maxrss above RssAnon at the call is what it grew.
+    # RUSAGE_CHILDREN keeps the largest worker so far: an upper bound.
+    global workers_kb
+    before = anon_kb()
+    result = call(*args)
+    workers_kb = max(workers_kb, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss - before)
+    return result
+
+# One worker beside the caller on any machine, so that the caller's growth
+# plus the largest worker's bounds what a call holds at once.
+hiertax.coherence._usable_cpus = lambda: 2
 h = hiertax.load_taxonomy(sys.argv[1])
 height, width = 250, 400
 base = peak_kb()
@@ -321,17 +370,18 @@ scores = ScoreField(rng.random((height, width, len(h)), dtype=np.float32))
 leaf = np.array(h.leaves, dtype=np.uint32)[rng.integers(0, len(h.leaves), size=(height, width))]
 leaf[rng.random((height, width)) < 0.1] = IGNORE
 labels = LabelField(leaf)
-prop = hiertax.propagate_field(h, scores, labels)
-value, grad = hiertax.field_loss(h, scores, labels, "ftm")
-pred = hiertax.decode_field(h, scores)
-peak = peak_kb()
+prop = in_workers(hiertax.propagate_field, h, scores, labels)
+value, grad = in_workers(hiertax.field_loss, h, scores, labels, "ftm")
+pred = in_workers(hiertax.decode_field, h, scores)
+# A call's worker ends before the next call starts.
+peak = peak_kb() + workers_kb
 print(json.dumps({"base_kb": base, "peak_kb": peak, "io_bytes": scores.scores.nbytes
                   + labels.leaf.nbytes + prop.scores.nbytes + grad.nbytes + pred.leaf.nbytes}))
 """
 
-# Room above inputs plus outputs for ScoreField's range check (one bool
-# per score, 14 MB here), the row-block temporaries and the allocator; a
-# whole-field float64 copy of the (100k, 145) scores is 116 MB.
+# Room above inputs plus outputs for the row-block temporaries of the
+# caller and of one worker, and the allocator; a whole-field float64 copy
+# of the (100k, 145) scores is 116 MB.
 FIELD_RSS_MARGIN_MB = 32
 
 
@@ -356,6 +406,6 @@ def test_batch_loss_peak_rss_is_inputs_plus_outputs():
 
 def test_field_paths_peak_rss_is_inputs_plus_outputs():
     """propagate_field, field_loss(ftm) and decode_field on a float32
-    (100k, 145) field."""
+    (100k, 145) field, counting the pages their forked workers add."""
     grown_mb, io_mb = _grown_and_io_mb(FIELD_RSS_CODE)
     assert grown_mb <= io_mb + FIELD_RSS_MARGIN_MB, (grown_mb, io_mb)
