@@ -26,17 +26,21 @@ The field paths (``propagate_field``, ``losses.field_loss`` and
 ``evaluation.decode_field``) hand their row blocks to ``run_blocks``, which
 runs contiguous ranges of them in forked children that write into
 ``shared_zeros`` outputs, so a field is walked on every usable core.
+``run_blocks`` is one round of ``block_workers``, the one place that forks,
+exits and reaps a process; ``training.train`` keeps its workers for every
+step of a run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
 import pickle
 import signal
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -166,7 +170,8 @@ def propagate_grad(
 
 
 def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -> ScoreField:
-    """Per-pixel propagate over a whole field; ignored pixels pass through.
+    """Per-pixel propagate over a whole field; ignored pixels pass through,
+    and a NaN score raises ``ValueError`` wherever it sits.
 
     The result keeps the input's dtype: propagation only copies scores, so
     a float32 field is propagated one row block at a time into a float32
@@ -184,6 +189,7 @@ def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -
     def work(part: list) -> None:
         for rows, valid in part:
             out[rows] = flat_s[rows]
+            _check_ignored_rows(out[rows], valid)
             ids = flat_l[rows][valid].astype(np.int64)
             out[rows][valid] = propagate_batch(h, flat_s[rows][valid], ids)
 
@@ -216,6 +222,13 @@ def field_blocks(
     return [(rows, valid[rows]) for rows in row_blocks(h, valid.size)]
 
 
+def _check_ignored_rows(block: np.ndarray, valid: np.ndarray) -> None:
+    """Raise ``ValueError`` for a NaN score in a block's ignored rows; the
+    kernels that the valid rows go through check those."""
+    if np.isnan(block[~valid]).any():
+        raise ValueError("scores must not be NaN")
+
+
 def shared_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     """A zeroed array on anonymous shared memory, which ``run_blocks``
     workers write into and their caller reads. A process the caller forks
@@ -241,74 +254,117 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_blocks(blocks: list, work: Callable[[list], None]) -> None:
-    """Call ``work`` on contiguous ranges of ``blocks``, one per worker.
+# Set in a process that ``block_workers`` forked: a worker forks no worker.
+_in_worker = False
 
-    There are ``min(usable CPUs, len(blocks) // MIN_BLOCKS)`` workers. Each
-    range but the first runs in a child made by ``os.fork``, which writes
-    its results into ``shared_zeros`` arrays; the caller runs the first.
-    With one worker, without ``os.fork``, or when it raises ``OSError``,
-    the caller runs ``work`` on every block not given to a child. A child's
-    exception is raised here with its type and message, the first range's
-    first. Every child is reaped before this returns or raises; if the
-    caller's own range raises, its children are killed first.
+
+@contextlib.contextmanager
+def block_workers(
+    blocks: list, work: Callable[[list], None], min_blocks: int = MIN_BLOCKS
+) -> Iterator[Callable[[], None]]:
+    """Fork workers for contiguous ranges of ``blocks`` once, and yield
+    ``run_round``, which calls ``work`` once on every range each time the
+    caller calls it.
+
+    There are ``min(usable CPUs, len(blocks) // min_blocks)`` workers, at
+    least one. Each range but the first runs in a child made by ``os.fork``,
+    which writes its results into ``shared_zeros`` arrays and waits between
+    rounds for a 1-byte message on a pipe; the caller runs the first range.
+    With one worker, inside a worker, without ``os.fork``, or when it raises
+    ``OSError``, the caller runs ``work`` on every block not given to a
+    child. A child's exception is raised by ``run_round`` with its type and
+    message, the first range's first. Every child is reaped when the block
+    ends: it leaves when its pipe reaches end of file, or is killed first
+    if the block ends by an exception.
     """
-    workers = min(_usable_cpus(), len(blocks) // MIN_BLOCKS) if hasattr(os, "fork") else 1
+    global _in_worker
+    workers = 1
+    if hasattr(os, "fork") and not _in_worker:
+        workers = max(1, min(_usable_cpus(), len(blocks) // min_blocks))
     cuts = [len(blocks) * i // workers for i in range(1, workers)]
-    kids = []  # (pid, read end of the pipe it reports an exception on)
+    kids = []  # (pid, write end of its command pipe, read end of its reply pipe)
     mine = len(blocks)  # the caller runs blocks[:mine]
     try:
         # Later ranges fork first, so after a failed fork the blocks left
         # to the caller are still one contiguous range.
         for lo in reversed(cuts):
-            r, w = os.pipe()
+            cmd_r, cmd_w = os.pipe()
+            reply_r, reply_w = os.pipe()
             try:
                 with warnings.catch_warnings():
                     # Python 3.12+ warns in the parent, after the child
                     # exists, when other threads run (OpenBLAS's pool); as
                     # an error it would lose the child's pid. The children
-                    # run only block kernels, which call no BLAS.
+                    # run no BLAS.
                     warnings.filterwarnings(
                         "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
                     )
                     pid = os.fork()
             except OSError:
-                os.close(r)
-                os.close(w)
+                for fd in (cmd_r, cmd_w, reply_r, reply_w):
+                    os.close(fd)
                 break
             if pid == 0:
                 status = 1
                 try:
-                    try:
-                        work(blocks[lo:mine])
+                    _in_worker = True
+                    # Hold no other worker's pipe open past the caller's close.
+                    for fd in (cmd_w, reply_r, *(fd for _, *fds in kids for fd in fds)):
+                        os.close(fd)
+                    while os.read(cmd_r, 1):
+                        try:
+                            work(blocks[lo:mine])
+                        except BaseException as exc:
+                            with os.fdopen(reply_w, "wb") as pipe:
+                                pipe.write(b"\1" + pickle.dumps(exc))
+                            break
+                        os.write(reply_w, b"\0")
+                    else:
                         status = 0
-                    except BaseException as exc:
-                        with os.fdopen(w, "wb") as pipe:
-                            pipe.write(pickle.dumps(exc))
                 finally:
                     # Never return into the caller's code, and flush no
                     # buffer the parent will flush too.
                     os._exit(status)
-            os.close(w)
-            kids.append((pid, r))
+            os.close(cmd_r)
+            os.close(reply_w)
+            kids.append((pid, cmd_w, reply_r))
             mine = lo
-        work(blocks[:mine])
+
+        def run_round() -> None:
+            for _, cmd, _ in kids:
+                os.write(cmd, b"\1")
+            work(blocks[:mine])
+            for pid, _, reply in reversed(kids):  # first range first
+                if os.read(reply, 1) == b"\0":
+                    continue
+                # An exception follows the byte; end of file, a lost child.
+                sent = b"".join(iter(lambda: os.read(reply, 1 << 16), b""))
+                if sent:
+                    raise pickle.loads(sent)
+                raise ChildProcessError(f"worker {pid} ended without a result")
+
+        yield run_round
     except BaseException:
-        for pid, _ in kids:
+        for pid, _, _ in kids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        reports = []
-        for pid, r in reversed(kids):  # first range first
-            with os.fdopen(r, "rb") as pipe:
-                sent = pipe.read()
-            reports.append((pid, os.waitpid(pid, 0)[1], sent))
-    for pid, status, sent in reports:
-        if sent:
-            raise pickle.loads(sent)
+        ended = []
+        for pid, cmd, reply in reversed(kids):
+            os.close(cmd)
+            os.close(reply)
+            ended.append((pid, os.waitpid(pid, 0)[1]))
+    for pid, status in ended:
         if status:
             code = os.waitstatus_to_exitcode(status)
             raise ChildProcessError(f"worker {pid} ended with exit code {code}")
+
+
+def run_blocks(blocks: list, work: Callable[[list], None]) -> None:
+    """Call ``work`` once on contiguous ranges of ``blocks``: one round of
+    ``block_workers``, with at least ``MIN_BLOCKS`` blocks per worker."""
+    with block_workers(blocks, work) as run_round:
+        run_round()
 
 
 def sibling_max(

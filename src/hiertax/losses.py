@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import (
+    _check_ignored_rows,
     _dp_scores,
     _leaf_rows,
     field_blocks,
@@ -256,7 +257,8 @@ def field_loss(
     cfg: FocalConfig | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean per-pixel loss over non-ignored pixels plus the float64
-    gradient field.
+    gradient field. A NaN score raises ``ValueError``, at an ignored pixel
+    too.
 
     ``batch_loss`` runs on one row block's valid pixels at a time: it
     propagates them in the field's dtype and widens only the propagated
@@ -276,11 +278,14 @@ def field_loss(
     starts = np.cumsum([0] + counts).tolist()
     n = starts[-1]
     if n == 0:
+        for rows, valid in blocks:
+            _check_ignored_rows(flat_s[rows], valid)
         return 0.0, grad.reshape(scores.scores.shape)
     values = shared_zeros((n,), np.float64)
 
     def work(part: list) -> None:
         for (rows, valid), at in part:
+            _check_ignored_rows(flat_s[rows], valid)
             ids = flat_l[rows][valid].astype(np.int64)
             v, g = batch_loss(h, flat_s[rows][valid], ids, which, cfg)
             values[at:at + v.size] = v

@@ -5,16 +5,29 @@ sigmoid gives the hierarchy score vector (softmax over leaf logits for the
 flat baseline). Training is plain full-batch SGD with momentum and weight
 decay, optionally adding the cosine-annealed triplet term, and is fully
 deterministic for a fixed seed.
+
+``train`` and ``run_toy`` hold OpenBLAS's thread pool at one thread while
+they run, so the bits of every reduction over pixels that BLAS computes do
+not depend on the pool's size. For ``focal``, ``tm`` and ``ftm``, ``train``
+forks its ``coherence.block_workers`` once per run: each step, the caller
+and the workers run the sigmoid, ``batch_loss`` and the chain rule on
+contiguous ranges of whole row blocks, and the caller alone makes every
+reduction over rows, so every output bit is the serial one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coherence import coherence_violation_rate
+from .coherence import block_workers, coherence_violation_rate, row_blocks, shared_zeros
 from .embedding import (
     DEFAULT_MARGIN_BASE,
     DEFAULT_TRIPLET_COUNT,
@@ -32,6 +45,11 @@ from .synthetic import SyntheticConfig, generate_synthetic
 from .taxonomy import ClassHierarchy
 
 HELDOUT_SEED_OFFSET = 1_000_003
+
+# The losses whose per-row step work runs on forked workers. bce's rows are
+# too cheap to gain from a second core, and cce takes its mean inside
+# cce_loss.
+WORKER_LOSSES = ("focal", "tm", "ftm")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -90,8 +108,8 @@ class ToyScorer:
     weight: np.ndarray  # (feature_dim, |V|)
     bias: np.ndarray    # (|V|,)
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight + self.bias
+    def logits(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.add(np.matmul(x, self.weight, out=out), self.bias, out=out)
 
 
 @dataclass
@@ -114,6 +132,46 @@ def _sgd_step(params, vel: dict, grads: dict[str, np.ndarray], cfg: TrainConfig)
         setattr(params, name, getattr(params, name) - cfg.lr * v)
 
 
+@functools.cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get and set thread-count functions of the OpenBLAS that numpy
+    loaded from its ``numpy.libs``, or None when there is no such library."""
+    import glob
+
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Hold OpenBLAS's pool at one thread, and restore its count on exit.
+
+    Yields whether the pool was found. Without it, nothing is held, and the
+    bits of BLAS reductions may depend on the pool's size.
+    """
+    pool = _blas_threads()
+    if pool is None:
+        yield False
+        return
+    get, put = pool
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
 def train(
     features: np.ndarray,
     labels: LabelField,
@@ -121,7 +179,13 @@ def train(
     cfg: TrainConfig,
     heldout: tuple[np.ndarray, LabelField] | None = None,
 ) -> TrainReport:
-    """Full-batch SGD on the toy scorer; see module docstring."""
+    """Full-batch SGD on the toy scorer; see module docstring.
+
+    With OpenBLAS's pool held at one thread, the step's per-row work for
+    the ``WORKER_LOSSES`` runs on ``min(usable CPUs, row blocks)`` workers,
+    forked before the first step and reaped after the last; otherwise, and
+    inside a worker, it runs in the caller.
+    """
     x = np.asarray(features, dtype=np.float64).reshape(-1, features.shape[-1])
     leaf_ids = labels.leaf.reshape(-1).astype(np.int64)
     h.leaf_positions(leaf_ids)  # every label a leaf, before any step
@@ -143,51 +207,77 @@ def train(
     betas: list[float] = []
     triplet_losses: list[float] = []
 
-    for step in range(cfg.iterations):
-        logits = scorer.logits(x)
+    # The step's logits, per-row loss values and logit gradient, on memory
+    # the workers share. Unused for cce, and never touched then.
+    logits = shared_zeros((n, len(h)), np.float64)
+    row_values = shared_zeros((n,), np.float64)
+    row_grads = shared_zeros((n, len(h)), np.float64)
+
+    def rows_step(part: list[slice]) -> None:
+        # One row block at a time, so every temporary is block-sized.
+        for rows in part:
+            s = 1.0 / (1.0 + np.exp(-logits[rows]))
+            row_values[rows], dvds = batch_loss(h, s, leaf_ids[rows], cfg.loss, focal)
+            np.multiply((dvds / n) * s, 1.0 - s, out=row_grads[rows])
+
+    blocks = row_blocks(h, n)
+    with _one_blas_thread() as held:
+        # One row block per worker is enough. On a 2-core VM a step's round
+        # trip to a worker took 4-27 us, and fork plus reap of a 60 MB
+        # process 1.7 ms once per run, against about 1 ms for one block's
+        # sigmoid, batch_loss(ftm) and chain rule on the 13-node tree (1260
+        # rows) or on Mapillary (112 rows).
+        with (
+            block_workers(blocks, rows_step, min_blocks=1)
+            if held and cfg.loss in WORKER_LOSSES
+            else contextlib.nullcontext(lambda: rows_step(blocks))
+        ) as step_rows:
+            for step in range(cfg.iterations):
+                if cfg.loss == "cce":
+                    value, dlogits = cce_loss(h, scorer.logits(x), leaf_ids)
+                else:
+                    scorer.logits(x, out=logits)
+                    try:
+                        step_rows()
+                    except ValueError:
+                        # A score is NaN exactly where its logit is.
+                        if np.isnan(logits).any():  # the scorer diverged
+                            raise TrainingDivergedError(
+                                f"non-finite segmentation loss at step {step}"
+                            ) from None
+                        raise
+                    value = float(row_values.mean())
+                    dlogits = row_grads
+                if not np.isfinite(value):
+                    raise TrainingDivergedError(f"non-finite segmentation loss at step {step}")
+
+                beta = cfg.beta(step) if proj is not None else 0.0
+                tt_value = 0.0
+                if proj is not None:
+                    tt_value = _triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng)
+                    if not np.isfinite(tt_value):
+                        raise TrainingDivergedError(f"non-finite triplet loss at step {step}")
+
+                grads = {"weight": x.T @ dlogits, "bias": dlogits.sum(axis=0)}
+                _sgd_step(scorer, scorer_vel, grads, cfg)
+
+                losses.append(value + beta * tt_value)
+                betas.append(beta)
+                triplet_losses.append(tt_value)
+
+        eval_x, eval_labels = heldout if heldout is not None else (features, labels)
+        flat_eval = np.asarray(eval_x, dtype=np.float64).reshape(-1, c)
+        eval_logits = scorer.logits(flat_eval)
+        s_eval = 1.0 / (1.0 + np.exp(-eval_logits))
         if cfg.loss == "cce":
-            value, dlogits = cce_loss(h, logits, leaf_ids)
+            leaves = np.array(h.leaves, dtype=np.int64)
+            pred_flat = leaves[eval_logits[:, leaves].argmax(axis=1)]
         else:
-            s = 1.0 / (1.0 + np.exp(-logits))
-            try:
-                values, dvds = batch_loss(h, s, leaf_ids, cfg.loss, focal)
-            except ValueError:
-                if np.isnan(s).any():  # the scorer diverged
-                    raise TrainingDivergedError(
-                        f"non-finite segmentation loss at step {step}"
-                    ) from None
-                raise
-            value = float(values.mean())
-            dlogits = (dvds / n) * s * (1.0 - s)
-        if not np.isfinite(value):
-            raise TrainingDivergedError(f"non-finite segmentation loss at step {step}")
-
-        beta = cfg.beta(step) if proj is not None else 0.0
-        tt_value = 0.0
-        if proj is not None:
-            tt_value = _triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng)
-            if not np.isfinite(tt_value):
-                raise TrainingDivergedError(f"non-finite triplet loss at step {step}")
-
-        _sgd_step(scorer, scorer_vel, {"weight": x.T @ dlogits, "bias": dlogits.sum(axis=0)}, cfg)
-
-        losses.append(value + beta * tt_value)
-        betas.append(beta)
-        triplet_losses.append(tt_value)
-
-    eval_x, eval_labels = heldout if heldout is not None else (features, labels)
-    flat_eval = np.asarray(eval_x, dtype=np.float64).reshape(-1, c)
-    logits = scorer.logits(flat_eval)
-    s_eval = 1.0 / (1.0 + np.exp(-logits))
-    if cfg.loss == "cce":
-        leaves = np.array(h.leaves, dtype=np.int64)
-        pred_flat = leaves[logits[:, leaves].argmax(axis=1)]
-    else:
-        pred_flat = decode_batch(h, s_eval)
-    shape = eval_labels.leaf.shape
-    pred = LabelField(leaf=pred_flat.astype(np.uint32).reshape(shape))
-    level_miou = evaluate_prediction_levels(h, pred, eval_labels)
-    violation = coherence_violation_rate(h, s_eval)
+            pred_flat = decode_batch(h, s_eval)
+        shape = eval_labels.leaf.shape
+        pred = LabelField(leaf=pred_flat.astype(np.uint32).reshape(shape))
+        level_miou = evaluate_prediction_levels(h, pred, eval_labels)
+        violation = coherence_violation_rate(h, s_eval)
 
     return TrainReport(
         losses=losses,
@@ -247,11 +337,13 @@ def _triplet_step(
 def run_toy(
     syn_cfg: SyntheticConfig, train_cfg: TrainConfig, h: ClassHierarchy | None = None
 ) -> TrainReport:
-    """Generate train and held-out splits, train, and evaluate.
+    """Generate train and held-out splits, train, and evaluate, with
+    OpenBLAS's pool held at one thread throughout.
 
     The held-out split is a fresh synthetic draw with a derived seed.
     """
-    features, labels, h = generate_synthetic(syn_cfg, h)
-    held_cfg = replace(syn_cfg, seed=syn_cfg.seed + HELDOUT_SEED_OFFSET)
-    held_features, held_labels, _ = generate_synthetic(held_cfg, h)
-    return train(features, labels, h, train_cfg, heldout=(held_features, held_labels))
+    with _one_blas_thread():  # generation calls BLAS too
+        features, labels, h = generate_synthetic(syn_cfg, h)
+        held_cfg = replace(syn_cfg, seed=syn_cfg.seed + HELDOUT_SEED_OFFSET)
+        held_features, held_labels, _ = generate_synthetic(held_cfg, h)
+        return train(features, labels, h, train_cfg, heldout=(held_features, held_labels))

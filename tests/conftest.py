@@ -1,4 +1,5 @@
 import contextlib
+import os
 import warnings
 from pathlib import Path
 
@@ -49,3 +50,34 @@ def assert_same_bits(have: np.ndarray, want: np.ndarray) -> None:
     """Equal float64 arrays down to the sign of every zero."""
     assert have.dtype == want.dtype == np.float64
     np.testing.assert_array_equal(have.view(np.int64), want.view(np.int64))
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make ``coherence.block_workers`` see ``n`` usable CPUs, so that the
+    worker tests fork on a one-CPU machine too."""
+    from hiertax import coherence
+
+    monkeypatch.setattr(coherence, "_usable_cpus", lambda: n)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counted_forks(monkeypatch, refuse=lambda attempt: False) -> list:
+    """Patch ``os.fork`` to list the children it makes, and to raise
+    ``OSError`` on the attempts (counted from 0) that ``refuse`` names."""
+    real_fork, pids, attempts = os.fork, [], []
+
+    def fork():
+        attempts.append(None)
+        if refuse(len(attempts) - 1):
+            raise OSError("fork refused")
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hiertax import coherence
 from hiertax.coherence import (
     BLOCK_ELEMS,
     MIN_BLOCKS,
@@ -44,7 +43,7 @@ from hiertax.gradcheck import random_hierarchy
 from hiertax.losses import FIELD_LOSSES, batch_loss, field_loss
 from hiertax.taxonomy import load_taxonomy
 
-from conftest import TAX_DIR
+from conftest import TAX_DIR, assert_no_child_left, counted_forks, use_cpus
 
 
 def reference_propagate_field(h, scores, labels):
@@ -180,15 +179,6 @@ def test_score_field_keeps_float32_and_widens_other_dtypes():
     assert ScoreField(s.astype(">f4")).scores.dtype == np.float64
 
 
-def _use_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(coherence, "_usable_cpus", lambda: n)
-
-
-def _assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _mapillary_case(dtype):
     """A 100x128 Mapillary field: 115 blocks of 112 rows, enough for three
     workers, with 10% of the pixels ignored."""
@@ -219,24 +209,6 @@ def _assert_same_outputs(got: dict, want: dict) -> None:
         assert got[key].tobytes() == value.tobytes(), key
 
 
-def _counted_forks(monkeypatch, refuse=lambda attempt: False) -> list:
-    """Patch ``os.fork`` to list the children it makes, and to raise
-    ``OSError`` on the attempts (counted from 0) that ``refuse`` names."""
-    real_fork, pids, attempts = os.fork, [], []
-
-    def fork():
-        attempts.append(None)
-        if refuse(len(attempts) - 1):
-            raise OSError("fork refused")
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 # propagate_field, decode_field and field_loss of each kind
 FIELD_CALLS = 2 + len(FIELD_LOSSES)
 
@@ -244,13 +216,13 @@ FIELD_CALLS = 2 + len(FIELD_LOSSES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_worker_outputs_equal_serial_outputs(monkeypatch, dtype):
     h, scores, labels = _mapillary_case(dtype)
-    _use_cpus(monkeypatch, 1)
+    use_cpus(monkeypatch, 1)
     serial = _field_outputs(h, scores, labels)
-    pids = _counted_forks(monkeypatch)
-    _use_cpus(monkeypatch, 3)
+    pids = counted_forks(monkeypatch)
+    use_cpus(monkeypatch, 3)
     _assert_same_outputs(_field_outputs(h, scores, labels), serial)
     assert len(pids) == 2 * FIELD_CALLS
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("children", [0, 1])
@@ -258,18 +230,18 @@ def test_a_failed_fork_gives_the_serial_result(monkeypatch, children):
     """Each call's first fork succeeds or not, its second fails; the caller
     takes over every block no child was given."""
     h, scores, labels = _mapillary_case(np.float32)
-    _use_cpus(monkeypatch, 1)
+    use_cpus(monkeypatch, 1)
     serial = _field_outputs(h, scores, labels)
-    pids = _counted_forks(monkeypatch, lambda attempt: not children or attempt % 2)
-    _use_cpus(monkeypatch, 3)
+    pids = counted_forks(monkeypatch, lambda attempt: not children or attempt % 2)
+    use_cpus(monkeypatch, 3)
     _assert_same_outputs(_field_outputs(h, scores, labels), serial)
     assert len(pids) == children * FIELD_CALLS
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_workers_exception_reaches_the_caller(monkeypatch):
     """The same type and message, from the first failing range."""
-    _use_cpus(monkeypatch, 3)
+    use_cpus(monkeypatch, 3)
 
     def work(part):
         if part[0]:
@@ -279,25 +251,58 @@ def test_a_workers_exception_reaches_the_caller(monkeypatch):
         run_blocks(list(range(3 * MIN_BLOCKS)), work)
     assert type(raised.value) is LookupError
     assert str(raised.value) == f"range from block {MIN_BLOCKS}"
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_nan_set_after_construction_raises_through_a_worker(monkeypatch):
     h, scores, labels = _mapillary_case(np.float32)
     scores.scores[-1, -1, 0] = np.nan
-    _use_cpus(monkeypatch, 3)
-    pids = _counted_forks(monkeypatch)
-    runs = [lambda: propagate_field(h, scores, labels), lambda: decode_field(h, scores)]
-    runs += [lambda w=w: field_loss(h, scores, labels, w) for w in FIELD_LOSSES]
-    for run in runs:
+    use_cpus(monkeypatch, 3)
+    pids = counted_forks(monkeypatch)
+    for run in _field_runs(h, scores, labels):
         with pytest.raises(ValueError, match="^scores must not be NaN$"):
             run()
     assert len(pids) == 2 * FIELD_CALLS
-    _assert_no_child_left()
+    assert_no_child_left()
+
+
+def _field_runs(h, scores, labels) -> list:
+    runs = [lambda: propagate_field(h, scores, labels), lambda: decode_field(h, scores)]
+    return runs + [lambda w=w: field_loss(h, scores, labels, w) for w in FIELD_LOSSES]
+
+
+def test_a_nan_at_an_ignored_pixel_raises_on_every_path(tiny):
+    """Ignored pixels are never scored, but a NaN among them is still
+    rejected, as decoding, which sees no labels, rejects it."""
+    scores = ScoreField(np.full((2, 3, 5), 0.5))
+    leaf = np.full((2, 3), 3, dtype=np.uint32)
+    leaf[0, 0] = IGNORE
+    scores.scores[0, 0, 1] = np.nan  # written after the field's own check
+    for run in _field_runs(tiny, scores, LabelField(leaf)):
+        with pytest.raises(ValueError, match="^scores must not be NaN$"):
+            run()
+    leaf[:] = IGNORE  # no valid pixel left to run a kernel on
+    for run in _field_runs(tiny, scores, LabelField(leaf)):
+        with pytest.raises(ValueError, match="^scores must not be NaN$"):
+            run()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_nan_at_an_ignored_pixel_raises_in_its_worker(monkeypatch, cpus):
+    h, scores, labels = _mapillary_case(np.float32)
+    ignored = np.flatnonzero(labels.leaf.reshape(-1) == IGNORE)
+    scores.scores.reshape(-1, len(h))[ignored[-1], 7] = np.nan  # in the last range
+    use_cpus(monkeypatch, cpus)
+    pids = counted_forks(monkeypatch)
+    for run in _field_runs(h, scores, labels):
+        with pytest.raises(ValueError, match="^scores must not be NaN$"):
+            run()
+    assert len(pids) == (cpus - 1) * FIELD_CALLS
+    assert_no_child_left()
 
 
 def test_a_failure_in_the_callers_range_kills_its_workers(monkeypatch):
-    _use_cpus(monkeypatch, 3)
+    use_cpus(monkeypatch, 3)
 
     def work(part):
         if not part[0]:
@@ -308,7 +313,7 @@ def test_a_failure_in_the_callers_range_kills_its_workers(monkeypatch):
     with pytest.raises(LookupError, match="the caller's range"):
         run_blocks(list(range(3 * MIN_BLOCKS)), work)
     assert time.monotonic() - start < 30
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_an_empty_field_gives_empty_outputs(tiny):

@@ -1,5 +1,5 @@
 """Every name a library module imports is read somewhere in that module,
-and only ``coherence.run_blocks`` forks, exits or waits for a process.
+and only ``coherence.block_workers`` forks, exits or waits for a process.
 
 No linter ships with the project's toolchain, so this is the unused-import
 gate: ``__init__.py`` re-exports, and ``from __future__`` imports change the
@@ -40,9 +40,11 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# Process control that only ``coherence.run_blocks`` may use: a fork
+# Process control that only ``coherence.block_workers`` may use: a fork
 # anywhere else would run beside the helper's reaping and kill rules.
+# ``run_blocks``, which the test names below keep, is one round of it.
 PROCESS_CALLS = {"fork", "_exit", "waitpid"}
+FORK_HELPER = "block_workers"
 
 
 def process_calls(source: str, helper: str | None = None) -> list[str]:
@@ -82,10 +84,11 @@ def test_gate_sees_process_calls_outside_the_helper():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_run_blocks_forks(path):
-    helper = "run_blocks" if path.name == "coherence.py" else None
+    helper = FORK_HELPER if path.name == "coherence.py" else None
     assert process_calls(path.read_text(), helper) == []
 
 
 def test_run_blocks_is_where_the_process_calls_are():
     found = process_calls((SRC / "coherence.py").read_text())
     assert {line.rsplit(".", 1)[1] for line in found} == PROCESS_CALLS
+    assert process_calls((SRC / "coherence.py").read_text(), FORK_HELPER) == []

@@ -1,0 +1,203 @@
+"""Training's step workers and its hold on OpenBLAS's thread pool.
+
+``train`` forks its ``coherence.block_workers`` once per run for the
+``WORKER_LOSSES``. Every report must be the serial one, bit for bit,
+whatever the worker count, and no worker may outlive a call, whether it
+returns or raises. The worker count is forced through a patched CPU count,
+so these tests fork on a one-CPU machine too.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hiertax import training
+from hiertax.coherence import MIN_BLOCKS, row_blocks, run_blocks, shared_zeros
+from hiertax.losses import LOSSES
+from hiertax.report import run_artifacts, write_report_files, write_run_json
+from hiertax.synthetic import SyntheticConfig, generate_synthetic
+from hiertax.training import TrainConfig, TrainingDivergedError, run_toy, train
+
+from conftest import TAX_DIR, assert_no_child_left, counted_forks, use_cpus
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+REPORT_FILES = ("run.json", "loss_curve.csv", "metrics.csv", "loss_curve.svg")
+CONFIGS = {loss: dict(loss=loss) for loss in LOSSES}
+CONFIGS["ftm+tt"] = dict(loss="ftm", use_triplet=True, triplet_count=40)
+
+
+def _data(h, pixels_per_class=500):
+    """4000 pixels on the 13-node tree: four row blocks of at most 1260."""
+    features, labels, _ = generate_synthetic(
+        SyntheticConfig(feature_dim=8, pixels_per_class=pixels_per_class, seed=0), h
+    )
+    return features, labels
+
+
+def _report_bytes(report, out_dir) -> dict:
+    out_dir.mkdir()
+    write_run_json(out_dir / "run.json", report)
+    write_report_files(run_artifacts(report), out_dir)
+    return {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
+
+
+def _assert_same_report(got, want) -> None:
+    assert got.losses == want.losses
+    assert got.betas == want.betas
+    assert got.triplet_losses == want.triplet_losses
+    assert got.level_miou == want.level_miou
+    assert got.violation_rate == want.violation_rate
+    assert got.scorer.weight.tobytes() == want.scorer.weight.tobytes()
+    assert got.scorer.bias.tobytes() == want.scorer.bias.tobytes()
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_reports_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, three_level, name):
+    features, labels = _data(three_level)
+    held = _data(three_level, pixels_per_class=50)
+    cfg = TrainConfig(iterations=12, seed=3, **CONFIGS[name])
+    assert len(row_blocks(three_level, labels.leaf.size)) == 4
+    pids = counted_forks(monkeypatch)
+    reports, files = {}, {}
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        before = len(pids)
+        reports[cpus] = train(features, labels, three_level, cfg, heldout=held)
+        forked = cfg.loss in training.WORKER_LOSSES and training._blas_threads() is not None
+        assert len(pids) - before == (cpus - 1 if forked else 0)
+        files[cpus] = _report_bytes(reports[cpus], tmp_path / str(cpus))
+    for cpus in (2, 3):
+        _assert_same_report(reports[cpus], reports[1])
+        assert files[cpus] == files[1]
+    assert_no_child_left()
+
+
+def test_no_worker_outlives_a_diverging_run(monkeypatch, three_level):
+    features, labels = _data(three_level)
+    use_cpus(monkeypatch, 2)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="non-finite"):
+        train(features, labels, three_level, TrainConfig(iterations=30, lr=1e25, loss="ftm"))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("pixel, cpus", [(-1, 2), (-1, 3), (0, 2), (0, 3)],
+                         ids=["last-2", "last-3", "first-2", "first-3"])
+def test_a_nan_row_raises_divergence_from_either_range(monkeypatch, three_level, pixel, cpus):
+    """A NaN feature at the last pixel lies in the last worker's rows and
+    one at the first pixel in the caller's; either way the step raises
+    ``TrainingDivergedError`` and every worker is reaped."""
+    features, labels = _data(three_level)
+    features.reshape(-1, features.shape[-1])[pixel] = np.nan
+    use_cpus(monkeypatch, cpus)
+    pids = counted_forks(monkeypatch)
+    with pytest.raises(TrainingDivergedError, match="at step 0$"):
+        train(features, labels, three_level, TrainConfig(iterations=3, loss="ftm"))
+    if training._blas_threads() is not None:
+        assert len(pids) == cpus - 1
+    assert_no_child_left()
+
+
+def test_a_train_inside_a_worker_runs_serially(monkeypatch, three_level):
+    features, labels = _data(three_level)
+    cfg = TrainConfig(iterations=4, loss="ftm")
+    use_cpus(monkeypatch, 2)
+    want = train(features, labels, three_level, cfg).scorer.weight
+    pids = counted_forks(monkeypatch)
+    got = shared_zeros(want.shape, np.float64)
+    forks = shared_zeros((1,), np.int64)
+
+    def work(part):
+        if part[0]:  # the forked worker's range
+            before = len(pids)  # this list is the worker's own copy
+            got[...] = train(features, labels, three_level, cfg).scorer.weight
+            forks[0] = len(pids) - before
+
+    run_blocks(list(range(2 * MIN_BLOCKS)), work)
+    assert len(pids) == 1
+    assert forks[0] == 0
+    assert got.tobytes() == want.tobytes()
+    assert_no_child_left()
+
+
+def _blas_pool():
+    pool = training._blas_threads()
+    if pool is None:
+        pytest.skip("numpy's OpenBLAS thread pool was not found")
+    return pool
+
+
+def test_blas_pool_is_held_at_one_thread_and_restored(monkeypatch, three_level):
+    get, put = _blas_pool()
+    features, labels = _data(three_level, pixels_per_class=50)
+    seen = []
+
+    def recording(real):
+        def call(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(training, "batch_loss", recording(training.batch_loss))
+    monkeypatch.setattr(training, "generate_synthetic", recording(training.generate_synthetic))
+    use_cpus(monkeypatch, 1)  # batch_loss runs in the caller
+    before = get()
+    try:
+        put(2)
+        if get() != 2:
+            pytest.skip("OpenBLAS did not take a second thread")
+        train(features, labels, three_level, TrainConfig(iterations=2, loss="ftm"))
+        assert get() == 2
+        syn = SyntheticConfig(feature_dim=8, pixels_per_class=20, seed=0)
+        run_toy(syn, TrainConfig(iterations=2, loss="ftm"), three_level)
+        assert get() == 2
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+            run_toy(syn, TrainConfig(iterations=30, lr=1e25, loss="ftm"), three_level)
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen and set(seen) == {1}
+
+
+def test_without_the_blas_pool_training_runs_serially(monkeypatch, three_level):
+    """Nothing is held and no worker is forked; at one thread the report is
+    the held run's."""
+    get, put = _blas_pool()
+    features, labels = _data(three_level)
+    cfg = TrainConfig(iterations=6, loss="ftm")
+    use_cpus(monkeypatch, 2)
+    want = train(features, labels, three_level, cfg)
+    pids = counted_forks(monkeypatch)
+    monkeypatch.setattr(training, "_blas_threads", lambda: None)
+    before = get()
+    try:
+        put(1)
+        got = train(features, labels, three_level, cfg)
+    finally:
+        put(before)
+    assert pids == []
+    _assert_same_report(got, want)
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Two train-toy runs, at one and at two OpenBLAS threads. Without the
+    hold, the scorer's weight gradient (2000x64)^T @ (2000x20) differs in
+    its last bits between the two, and the reports with it."""
+    _blas_pool()
+    code = "import sys; from hiertax.cli import main; sys.exit(main(sys.argv[1:]))"
+    args = [
+        "train-toy", "--tax", os.path.join(TAX_DIR, "lip.tax"), "--loss", "bce",
+        "--feature-dim", "64", "--pixels-per-class", "100", "--iterations", "40",
+    ]
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", code, *args, "--out-dir", str(tmp_path / threads)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+    for name in REPORT_FILES:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
