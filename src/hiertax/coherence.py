@@ -28,7 +28,10 @@ runs contiguous ranges of them in forked children that write into
 ``shared_zeros`` outputs, so a field is walked on every usable core.
 ``run_blocks`` is one round of ``block_workers``, the one place that forks,
 exits and reaps a process; ``training.train`` keeps its workers for every
-step of a run.
+step of a run. The caller's own range is a shared cursor that it walks
+from the front; a child that has finished its own range takes blocks from
+the back of it. So a round's ``first`` callable (training's triplet step)
+runs in the caller while the children cover its rows.
 """
 
 from __future__ import annotations
@@ -261,16 +264,22 @@ _in_worker = False
 @contextlib.contextmanager
 def block_workers(
     blocks: list, work: Callable[[list], None], min_blocks: int = MIN_BLOCKS
-) -> Iterator[Callable[[], None]]:
+) -> Iterator[Callable[..., None]]:
     """Fork workers for contiguous ranges of ``blocks`` once, and yield
-    ``run_round``, which calls ``work`` once on every range each time the
-    caller calls it.
+    ``run_round(first=None)``, which calls ``work`` on every block each
+    time the caller calls it.
 
     There are ``min(usable CPUs, len(blocks) // min_blocks)`` workers, at
     least one. Each range but the first runs in a child made by ``os.fork``,
     which writes its results into ``shared_zeros`` arrays and waits between
-    rounds for a 1-byte message on a pipe; the caller runs the first range.
-    With one worker, inside a worker, without ``os.fork``, or when it raises
+    rounds for a 1-byte message on a pipe. The first range is the caller's:
+    a round sends the messages, calls ``first()`` if given, then takes the
+    caller's blocks one at a time from the front of a shared cursor
+    ``[lo, hi)``. A child that has finished its own range takes blocks from
+    the back of that cursor until the two ends meet, so the children cover
+    for the caller while it runs ``first``; children never take from each
+    other's ranges. A one-byte token on a pipe guards the cursor. With one
+    worker, inside a worker, without ``os.fork``, or when it raises
     ``OSError``, the caller runs ``work`` on every block not given to a
     child. A child's exception is raised by ``run_round`` with its type and
     message, the first range's first. Every child is reaped when the block
@@ -284,7 +293,25 @@ def block_workers(
     cuts = [len(blocks) * i // workers for i in range(1, workers)]
     kids = []  # (pid, write end of its command pipe, read end of its reply pipe)
     mine = len(blocks)  # the caller runs blocks[:mine]
+    cursor = shared_zeros((2,), np.int64)  # [lo, hi): the caller's blocks not yet taken
+    token = os.pipe() if cuts else ()  # (read end, write end)
+
+    def take(back: bool) -> list:
+        """The caller's next block as a 1-block list, from the back of the
+        cursor or its front, or [] once the two ends have met."""
+        os.read(token[0], 1)
+        lo, hi = cursor.tolist()
+        if lo < hi:
+            cursor[:] = (lo, hi - 1) if back else (lo + 1, hi)
+        os.write(token[1], b"\0")
+        if lo == hi:
+            return []
+        i = hi - 1 if back else lo
+        return blocks[i:i + 1]
+
     try:
+        if token:
+            os.write(token[1], b"\0")
         # Later ranges fork first, so after a failed fork the blocks left
         # to the caller are still one contiguous range.
         for lo in reversed(cuts):
@@ -314,6 +341,8 @@ def block_workers(
                     while os.read(cmd_r, 1):
                         try:
                             work(blocks[lo:mine])
+                            while part := take(back=True):
+                                work(part)
                         except BaseException as exc:
                             with os.fdopen(reply_w, "wb") as pipe:
                                 pipe.write(b"\1" + pickle.dumps(exc))
@@ -330,10 +359,17 @@ def block_workers(
             kids.append((pid, cmd_w, reply_r))
             mine = lo
 
-        def run_round() -> None:
+        def run_round(first: Callable[[], object] | None = None) -> None:
+            cursor[:] = 0, mine
             for _, cmd, _ in kids:
                 os.write(cmd, b"\1")
-            work(blocks[:mine])
+            if first is not None:
+                first()
+            if not kids:
+                work(blocks[:mine])
+            else:
+                while part := take(back=False):
+                    work(part)
             for pid, _, reply in reversed(kids):  # first range first
                 if os.read(reply, 1) == b"\0":
                     continue
@@ -354,6 +390,8 @@ def block_workers(
             os.close(cmd)
             os.close(reply)
             ended.append((pid, os.waitpid(pid, 0)[1]))
+        for fd in token:
+            os.close(fd)
     for pid, status in ended:
         if status:
             code = os.waitstatus_to_exitcode(status)

@@ -67,14 +67,15 @@ def _clip(x: np.ndarray) -> np.ndarray:
 
 
 def cce_loss(
-    h: ClassHierarchy, logits: np.ndarray, leaf_ids: np.ndarray
+    h: ClassHierarchy, logits: np.ndarray, leaf_ids: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the leaf logits of N rows.
 
     ``logits`` is (N, |V|); internal nodes' logits are ignored and get zero
     gradient. Returns the mean value and its (N, |V|) gradient with respect
-    to ``logits``. Raises ``ValueError`` naming the first label id that is
-    not a leaf of ``h``.
+    to ``logits``, written into ``out`` when it is given (an array of that
+    shape, as ``train`` keeps one for every step). Raises ``ValueError``
+    naming the first label id that is not a leaf of ``h``.
     """
     logits = np.asarray(logits, dtype=np.float64)
     targets = h.leaf_positions(leaf_ids)
@@ -83,16 +84,22 @@ def cce_loss(
             f"expected (N, {len(h)}) logits and N leaf ids, got {logits.shape} and {targets.shape}"
         )
     leaves = np.array(h.leaves, dtype=np.int64)
-    z = logits[:, leaves]
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    # One (N, leaves) array, updated in place: the same bits as a new array
+    # for each step of the softmax.
+    y = logits[:, leaves]
+    y -= y.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
     n = logits.shape[0]
     value = float(-np.log(np.clip(y[np.arange(n), targets], EPSILON, None)).mean())
     y[np.arange(n), targets] -= 1.0
-    grad = np.zeros_like(logits)
-    grad[:, leaves] = y / n
-    return value, grad
+    y /= n
+    if out is None:
+        out = np.zeros_like(logits)
+    else:
+        out.fill(0.0)
+    out[:, leaves] = y
+    return value, out
 
 
 def _bce_terms(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

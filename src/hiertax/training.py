@@ -12,7 +12,11 @@ not depend on the pool's size. For ``focal``, ``tm`` and ``ftm``, ``train``
 forks its ``coherence.block_workers`` once per run: each step, the caller
 and the workers run the sigmoid, ``batch_loss`` and the chain rule on
 contiguous ranges of whole row blocks, and the caller alone makes every
-reduction over rows, so every output bit is the serial one.
+reduction over rows, so every output bit is the serial one. With
+``use_triplet``, the caller runs the projection head's step first in each
+round, and a worker that has finished its own range takes row blocks from
+the back of the caller's. The head's step reads neither the logits nor the
+loss gradient, and only the caller draws from the run's generator.
 """
 
 from __future__ import annotations
@@ -184,7 +188,8 @@ def train(
     With OpenBLAS's pool held at one thread, the step's per-row work for
     the ``WORKER_LOSSES`` runs on ``min(usable CPUs, row blocks)`` workers,
     forked before the first step and reaped after the last; otherwise, and
-    inside a worker, it runs in the caller.
+    inside a worker, it runs in the caller. The triplet step runs in the
+    caller at the start of each step's round.
     """
     x = np.asarray(features, dtype=np.float64).reshape(-1, features.shape[-1])
     leaf_ids = labels.leaf.reshape(-1).astype(np.int64)
@@ -208,7 +213,7 @@ def train(
     triplet_losses: list[float] = []
 
     # The step's logits, per-row loss values and logit gradient, on memory
-    # the workers share. Unused for cce, and never touched then.
+    # the workers share. cce_loss writes its gradient into row_grads too.
     logits = shared_zeros((n, len(h)), np.float64)
     row_values = shared_zeros((n,), np.float64)
     row_grads = shared_zeros((n, len(h)), np.float64)
@@ -220,45 +225,51 @@ def train(
             row_values[rows], dvds = batch_loss(h, s, leaf_ids[rows], cfg.loss, focal)
             np.multiply((dvds / n) * s, 1.0 - s, out=row_grads[rows])
 
+    beta = tt_value = 0.0
+
+    def triplet_step() -> None:
+        # Reads neither the logits nor the loss gradient, and only the
+        # caller draws from rng, so it runs while the workers take rows.
+        nonlocal tt_value
+        tt_value = _triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng)
+
+    first = triplet_step if proj is not None else None
     blocks = row_blocks(h, n)
     with _one_blas_thread() as held:
         # One row block per worker is enough. On a 2-core VM a step's round
         # trip to a worker took 4-27 us, and fork plus reap of a 60 MB
         # process 1.7 ms once per run, against about 1 ms for one block's
         # sigmoid, batch_loss(ftm) and chain rule on the 13-node tree (1260
-        # rows) or on Mapillary (112 rows).
-        with (
-            block_workers(blocks, rows_step, min_blocks=1)
-            if held and cfg.loss in WORKER_LOSSES
-            else contextlib.nullcontext(lambda: rows_step(blocks))
-        ) as step_rows:
+        # rows) or on Mapillary (112 rows). Asking for more blocks per
+        # worker than there are blocks forks no worker.
+        forked = held and cfg.loss in WORKER_LOSSES
+        with block_workers(blocks, rows_step, 1 if forked else len(blocks) + 1) as step_rows:
             for step in range(cfg.iterations):
+                beta = cfg.beta(step) if proj is not None else 0.0
+                scorer.logits(x, out=logits)
                 if cfg.loss == "cce":
-                    value, dlogits = cce_loss(h, scorer.logits(x), leaf_ids)
+                    value, _ = cce_loss(h, logits, leaf_ids, out=row_grads)
                 else:
-                    scorer.logits(x, out=logits)
                     try:
-                        step_rows()
-                    except ValueError:
-                        # A score is NaN exactly where its logit is.
+                        step_rows(first)
+                    except Exception:
+                        # A score is NaN exactly where its logit is, and
+                        # batch_loss raises ValueError on it. Run serially,
+                        # that error would come before the triplet step's.
                         if np.isnan(logits).any():  # the scorer diverged
                             raise TrainingDivergedError(
                                 f"non-finite segmentation loss at step {step}"
                             ) from None
                         raise
                     value = float(row_values.mean())
-                    dlogits = row_grads
                 if not np.isfinite(value):
                     raise TrainingDivergedError(f"non-finite segmentation loss at step {step}")
+                if cfg.loss == "cce" and first is not None:
+                    first()
+                if not np.isfinite(tt_value):
+                    raise TrainingDivergedError(f"non-finite triplet loss at step {step}")
 
-                beta = cfg.beta(step) if proj is not None else 0.0
-                tt_value = 0.0
-                if proj is not None:
-                    tt_value = _triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng)
-                    if not np.isfinite(tt_value):
-                        raise TrainingDivergedError(f"non-finite triplet loss at step {step}")
-
-                grads = {"weight": x.T @ dlogits, "bias": dlogits.sum(axis=0)}
+                grads = {"weight": x.T @ row_grads, "bias": row_grads.sum(axis=0)}
                 _sgd_step(scorer, scorer_vel, grads, cfg)
 
                 losses.append(value + beta * tt_value)

@@ -10,9 +10,12 @@ of the pixels is ignored. ``test_tree_dp`` bounds their peak RSS.
 The field paths split their blocks between forked ``run_blocks`` workers.
 The worker tests force the worker count through a patched CPU count, so
 they fork on a one-CPU machine too, and check that no child outlives a
-call.
+call. ``block_workers`` rounds with a ``first`` callable check that the
+children take the caller's blocks while it runs, and that errors and
+descriptors are handled as in a plain round.
 """
 
+import contextlib
 import os
 import struct
 import time
@@ -23,12 +26,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hiertax import coherence
 from hiertax.coherence import (
     BLOCK_ELEMS,
     MIN_BLOCKS,
+    block_workers,
     propagate_batch,
     propagate_field,
     run_blocks,
+    shared_zeros,
 )
 from hiertax.evaluation import decode_field
 from hiertax.fields import (
@@ -240,11 +246,12 @@ def test_a_failed_fork_gives_the_serial_result(monkeypatch, children):
 
 
 def test_a_workers_exception_reaches_the_caller(monkeypatch):
-    """The same type and message, from the first failing range."""
+    """The same type and message, from the first failing range. Each child
+    raises on its own range before it could take a block of the caller's."""
     use_cpus(monkeypatch, 3)
 
     def work(part):
-        if part[0]:
+        if coherence._in_worker:
             raise LookupError(f"range from block {part[0]}")
 
     with pytest.raises(LookupError) as raised:
@@ -313,6 +320,127 @@ def test_a_failure_in_the_callers_range_kills_its_workers(monkeypatch):
     with pytest.raises(LookupError, match="the caller's range"):
         run_blocks(list(range(3 * MIN_BLOCKS)), work)
     assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_the_children_run_the_callers_range_while_first_runs(monkeypatch):
+    """``first`` waits until every block of the caller's range has run, so
+    the children took them all, from the back, and the caller took none."""
+    use_cpus(monkeypatch, 3)
+    pids = counted_forks(monkeypatch)
+    blocks = list(range(3 * MIN_BLOCKS))
+    out = shared_zeros((len(blocks),), np.int64)
+    ran_in = shared_zeros((len(blocks),), np.int64)  # the pid that ran each block
+
+    def work(part):
+        for b in part:
+            out[b] = b * b + 1
+            ran_in[b] = os.getpid()
+
+    def first():
+        deadline = time.monotonic() + 10
+        while not ran_in[:MIN_BLOCKS].all():
+            assert time.monotonic() < deadline, "the children left the caller's blocks"
+            time.sleep(0.001)
+
+    with block_workers(blocks, work) as run_round:
+        run_round(first)
+    assert len(pids) == 2
+    assert set(ran_in.tolist()) <= set(pids)  # no block ran in the caller
+    assert out.tolist() == [b * b + 1 for b in blocks]
+    assert_no_child_left()
+
+
+def test_every_block_runs_once_a_round_with_more_workers_than_cores(monkeypatch):
+    """The caller and three children race for the caller's range on its
+    shared cursor, round after round; a lost update to the cursor would
+    run a block twice or not at all."""
+    use_cpus(monkeypatch, 4)
+    pids = counted_forks(monkeypatch)
+    blocks = list(range(64))
+    runs = shared_zeros((len(blocks),), np.int64)
+    rounds = 40
+
+    def work(part):
+        for b in part:
+            runs[b] += 1
+            end = time.perf_counter() + 5e-5
+            while time.perf_counter() < end:
+                pass
+
+    start = time.monotonic()
+    with block_workers(blocks, work, min_blocks=1) as run_round:
+        for r in range(rounds):
+            run_round(lambda: time.sleep(r % 4 * 5e-4))
+    assert time.monotonic() - start < 30
+    assert len(pids) == 3
+    assert runs.tolist() == [rounds] * len(blocks)
+    assert_no_child_left()
+
+
+def test_an_exception_in_a_taken_block_reaches_the_caller(monkeypatch):
+    """A block that the child took from the back of the caller's range
+    raises there; the caller gets its type and message."""
+    use_cpus(monkeypatch, 2)
+    taken = shared_zeros((1,), np.int64)
+
+    def work(part):
+        if coherence._in_worker and part[0] < MIN_BLOCKS:
+            taken[0] = 1
+            raise LookupError(f"taken block {part[0]}")
+
+    def first():
+        deadline = time.monotonic() + 10
+        while not taken[0]:
+            assert time.monotonic() < deadline, "the child took no block of the caller's"
+            time.sleep(0.001)
+
+    with pytest.raises(LookupError) as raised:
+        with block_workers(list(range(2 * MIN_BLOCKS)), work) as run_round:
+            run_round(first)
+    assert type(raised.value) is LookupError
+    assert str(raised.value) == f"taken block {MIN_BLOCKS - 1}"
+    assert_no_child_left()
+
+
+def test_an_exception_in_first_kills_the_children(monkeypatch):
+    use_cpus(monkeypatch, 3)
+
+    def work(part):
+        if coherence._in_worker:
+            time.sleep(60)
+
+    def first():
+        raise LookupError("in first")
+
+    start = time.monotonic()
+    with pytest.raises(LookupError, match="^in first$"):
+        with block_workers(list(range(3 * MIN_BLOCKS)), work) as run_round:
+            run_round(first)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("raising", [None, "a child", "first"])
+def test_block_workers_closes_every_descriptor_it_opens(monkeypatch, raising):
+    """The command, reply and token pipes are closed in the caller after a
+    success, a child's raise and a raise in ``first``."""
+    use_cpus(monkeypatch, 3)
+
+    def work(part):
+        if raising == "a child" and coherence._in_worker:
+            raise LookupError(raising)
+
+    def first():
+        if raising == "first":
+            raise LookupError(raising)
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(LookupError) if raising else contextlib.nullcontext():
+        with block_workers(list(range(3 * MIN_BLOCKS)), work) as run_round:
+            run_round(first)
+    assert sorted(os.listdir("/proc/self/fd")) == before
     assert_no_child_left()
 
 

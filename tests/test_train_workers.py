@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiertax import training
+from hiertax import coherence, training
 from hiertax.coherence import MIN_BLOCKS, row_blocks, run_blocks, shared_zeros
 from hiertax.losses import LOSSES
 from hiertax.report import run_artifacts, write_report_files, write_run_json
@@ -84,6 +84,34 @@ def test_no_worker_outlives_a_diverging_run(monkeypatch, three_level):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("lr, error, message, step", [
+    (1e25, OverflowError, "(34, 'Numerical result out of range')", 3),
+    (1e100, ValueError, "embedding must have finite nonzero norm", 1),
+], ids=["overflow", "zero-norm"])
+def test_a_diverging_projection_head_raises_as_it_did_after_the_round(
+    monkeypatch, three_level, cpus, lr, error, message, step
+):
+    """The triplet step runs inside the step's round, where an error with
+    NaN logits becomes ``TrainingDivergedError``. The head's own errors
+    keep the type, message and step they had when the step ran after the
+    round (the figures of that version)."""
+    features, labels = _data(three_level)
+    use_cpus(monkeypatch, cpus)
+    steps = []
+    real = training._triplet_step
+    monkeypatch.setattr(
+        training, "_triplet_step", lambda *args: steps.append(None) or real(*args)
+    )
+    cfg = TrainConfig(iterations=30, lr=lr, loss="ftm", use_triplet=True, triplet_count=40)
+    with np.errstate(all="ignore"), pytest.raises(error) as raised:
+        train(features, labels, three_level, cfg)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+    assert len(steps) - 1 == step
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("pixel, cpus", [(-1, 2), (-1, 3), (0, 2), (0, 3)],
                          ids=["last-2", "last-3", "first-2", "first-3"])
 def test_a_nan_row_raises_divergence_from_either_range(monkeypatch, three_level, pixel, cpus):
@@ -111,7 +139,7 @@ def test_a_train_inside_a_worker_runs_serially(monkeypatch, three_level):
     forks = shared_zeros((1,), np.int64)
 
     def work(part):
-        if part[0]:  # the forked worker's range
+        if coherence._in_worker:
             before = len(pids)  # this list is the worker's own copy
             got[...] = train(features, labels, three_level, cfg).scorer.weight
             forks[0] = len(pids) - before
