@@ -526,7 +526,15 @@ def propagate_batch_winners(
     """
     s = _dp_scores(h, s)
     pos = _leaf_rows(h, leaf_ids, len(s))
+    return (*_propagated_winners(h, s, pos), pos)
+
+
+def _propagated_winners(
+    h: ClassHierarchy, s: np.ndarray, pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, winners)`` of ``propagate_batch_winners`` for a checked block
+    ``s`` and its (N, |V|) positive mask ``pos``."""
     amin, dmax, amin_w, dmax_w = tree_extrema(h, s, winners=True)
     p = np.ascontiguousarray(np.where(pos.T, amin, dmax).T)
     winners = np.ascontiguousarray(np.where(pos.T, amin_w, dmax_w).T)
-    return p, winners, pos
+    return p, winners

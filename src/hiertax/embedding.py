@@ -145,7 +145,8 @@ def batch_triplet_loss(
 
     Returns the (T,) hinge values and the three (T, D) gradients. The
     boundary subgradient routes as active; inactive rows have exactly zero
-    gradient. Raises ``ValueError`` for a zero or non-finite row norm.
+    gradient. Raises ``ValueError`` for a zero or non-finite row norm, or
+    one whose cube overflows float64.
     """
     a, p, n = (np.asarray(x, dtype=np.float64) for x in (a, p, n))
     (norm_a, cube_a), (norm_p, cube_p), (norm_n, cube_n) = (_checked_norms(x) for x in (a, p, n))
@@ -175,7 +176,10 @@ def _checked_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("embedding must have finite nonzero norm")
     # ``np.float64 ** 3`` calls libm pow; the array power's SIMD pow can
     # differ from it in the last bit, so cube element by element.
-    cube = np.array([v**3 for v in norm.ravel().tolist()]).reshape(norm.shape)
+    try:
+        cube = np.array([v**3 for v in norm.ravel().tolist()]).reshape(norm.shape)
+    except OverflowError:
+        raise ValueError("embedding norm is too large to cube in float64") from None
     return norm, cube
 
 

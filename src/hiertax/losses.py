@@ -8,9 +8,11 @@ evaluated at the clipped scores.
 
 ``batch_loss`` works through blocks of ``coherence.BLOCK_ELEMS // |V|``
 rows; per-row values are summed over C-contiguous (rows, |V|) blocks, so
-its output does not depend on N or on the blocking. The tree-min losses
-route each node's gradient to the node whose score propagation copied,
-ties to the smallest node id.
+its output does not depend on N or on the blocking. Each block goes
+through ``block_loss``, which takes the block's positive mask in place of
+leaf ids and checks nothing; ``training.train`` calls it directly. The
+tree-min losses route each node's gradient to the node whose score
+propagation copied, ties to the smallest node id.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .coherence import (
     _check_ignored_rows,
     _dp_scores,
     _leaf_rows,
+    _propagated_winners,
     field_blocks,
-    propagate_batch_winners,
     propagate_winners,
     row_blocks,
     run_blocks,
@@ -221,39 +223,52 @@ def batch_loss(
         raise ValueError(f"unknown field loss {which!r}; expected one of {FIELD_LOSSES}")
     s = _dp_scores(h, s)
     leaf_ids = np.asarray(leaf_ids)
-    n, width = s.shape
+    n = len(s)
     # A block's slice of N + 1 ids would still match its rows.
     if leaf_ids.shape != (n,):
         raise ValueError(f"expected {n} leaf ids, one per score row, got shape {leaf_ids.shape}")
     values = np.empty(n)
     grad = np.empty(s.shape)
     for rows in row_blocks(h, n):
-        block, ids = s[rows], leaf_ids[rows]
-        if which in ("bce", "focal"):
-            p, labels = block, _leaf_rows(h, ids, len(block))
-        else:
-            p, winners, labels = propagate_batch_winners(h, block, ids)
-        p = p.astype(np.float64, copy=False)
-        if which in ("bce", "tm"):
-            terms, dvdp = _bce_terms(p, labels)
-        else:
-            terms, dvdp = _focal_terms(p, labels, cfg)
-        values[rows] = terms.sum(axis=1)
-        if which in ("bce", "focal"):
-            grad[rows] = dvdp
-        else:
-            # bincount adds each cell's contributions in ascending node
-            # order, starting from 0, exactly as a sequential scatter does.
-            b = p.shape[0]
-            cells = winners + width * np.arange(b)[:, None]
-            grad[rows] = np.bincount(
-                cells.ravel(), weights=dvdp.ravel(), minlength=b * width
-            ).reshape(b, width)
+        block = s[rows]
+        pos = _leaf_rows(h, leaf_ids[rows], len(block))
+        values[rows], grad[rows] = block_loss(h, block, pos, which, cfg)
     # Values are finite unless their row holds a NaN score, which makes
     # the value NaN; so is the sum then, and only then.
     if np.isnan(values.sum()):
         raise ValueError("scores must not be NaN")
     return values, grad
+
+
+def block_loss(
+    h: ClassHierarchy, s: np.ndarray, pos: np.ndarray, which: str, cfg: FocalConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``batch_loss`` of one row block: per-row values and float64
+    gradients of the (B, |V|) scores ``s``, given the block's positive mask
+    ``pos``, its rows of ``h.ancestor_mask``.
+
+    The caller checks: ``which`` is one of ``FIELD_LOSSES``, ``s`` has a
+    float dtype no narrower than float32 and ``pos`` its shape. The tree-min
+    losses raise ``ValueError`` on a NaN score; ``bce`` and ``focal`` give
+    the row a NaN value.
+    """
+    if which in ("bce", "focal"):
+        p = s
+    else:
+        p, winners = _propagated_winners(h, s, pos)
+    p = p.astype(np.float64, copy=False)
+    if which in ("bce", "tm"):
+        terms, dvdp = _bce_terms(p, pos)
+    else:
+        terms, dvdp = _focal_terms(p, pos, cfg)
+    if which in ("bce", "focal"):
+        return terms.sum(axis=1), dvdp
+    # bincount adds each cell's contributions in ascending node order,
+    # starting from 0, exactly as a sequential scatter does.
+    b, width = p.shape
+    cells = winners + width * np.arange(b)[:, None]
+    grad = np.bincount(cells.ravel(), weights=dvdp.ravel(), minlength=b * width)
+    return terms.sum(axis=1), grad.reshape(b, width)
 
 
 def field_loss(

@@ -8,15 +8,17 @@ deterministic for a fixed seed.
 
 ``train`` and ``run_toy`` hold OpenBLAS's thread pool at one thread while
 they run, so the bits of every reduction over pixels that BLAS computes do
-not depend on the pool's size. For ``focal``, ``tm`` and ``ftm``, ``train``
-forks its ``coherence.block_workers`` once per run: each step, the caller
-and the workers run the sigmoid, ``batch_loss`` and the chain rule on
-contiguous ranges of whole row blocks, and the caller alone makes every
-reduction over rows, so every output bit is the serial one. With
-``use_triplet``, the caller runs the projection head's step first in each
-round, and a worker that has finished its own range takes row blocks from
-the back of the caller's. The head's step reads neither the logits nor the
-loss gradient, and only the caller draws from the run's generator.
+not depend on the pool's size. For every loss but ``cce``, ``train`` forks
+its ``coherence.block_workers`` once per run. Each step the caller computes
+``x @ W`` alone; then the caller and the workers add the bias, run the
+sigmoid, ``losses.block_loss`` and the chain rule on contiguous ranges of
+whole row blocks, and the caller alone makes every reduction over rows, so
+every output bit is the serial one. With ``use_triplet``, the caller runs
+the projection head's step first in each round, and a worker that has
+finished its own range takes row blocks from the back of the caller's.
+The head's step reads neither the logits nor the loss gradient, and only
+the caller draws from the run's generator. A head whose embeddings
+overflow float64 ends the run with ``TrainingDivergedError``.
 """
 
 from __future__ import annotations
@@ -44,16 +46,15 @@ from .embedding import (
 )
 from .evaluation import LevelScore, decode_batch, evaluate_prediction_levels
 from .fields import LabelField
-from .losses import LOSSES, FocalConfig, batch_loss, cce_loss
+from .losses import LOSSES, FocalConfig, block_loss, cce_loss
 from .synthetic import SyntheticConfig, generate_synthetic
 from .taxonomy import ClassHierarchy
 
 HELDOUT_SEED_OFFSET = 1_000_003
 
-# The losses whose per-row step work runs on forked workers. bce's rows are
-# too cheap to gain from a second core, and cce takes its mean inside
-# cce_loss.
-WORKER_LOSSES = ("focal", "tm", "ftm")
+# The losses whose per-row step work runs on forked workers. cce takes its
+# mean inside cce_loss, and its rows ran no faster on a worker.
+WORKER_LOSSES = ("bce", "focal", "tm", "ftm")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -96,10 +97,12 @@ class TrainConfig:
             raise ValueError(f"triplet_count must be >= 0, got {self.triplet_count}")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("gamma", "margin_base", "beta_max"):
+        for name in ("momentum", "weight_decay", "gamma", "margin_base", "beta_max"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.proj_dim < 1:
+            raise ValueError(f"proj_dim must be >= 1, got {self.proj_dim}")
 
     def beta(self, step: int) -> float:
         if self.beta_kind == "constant":
@@ -185,16 +188,20 @@ def train(
 ) -> TrainReport:
     """Full-batch SGD on the toy scorer; see module docstring.
 
-    With OpenBLAS's pool held at one thread, the step's per-row work for
-    the ``WORKER_LOSSES`` runs on ``min(usable CPUs, row blocks)`` workers,
+    The labels are checked once, before the first step. With OpenBLAS's
+    pool held at one thread, the step's per-row work for the
+    ``WORKER_LOSSES`` runs on ``min(usable CPUs, row blocks)`` workers,
     forked before the first step and reaped after the last; otherwise, and
     inside a worker, it runs in the caller. The triplet step runs in the
-    caller at the start of each step's round.
+    caller at the start of each step's round. A non-finite segmentation or
+    triplet loss raises ``TrainingDivergedError`` naming its step.
     """
     x = np.asarray(features, dtype=np.float64).reshape(-1, features.shape[-1])
     leaf_ids = labels.leaf.reshape(-1).astype(np.int64)
     h.leaf_positions(leaf_ids)  # every label a leaf, before any step
     n, c = x.shape
+    if leaf_ids.size != n:
+        raise ValueError(f"expected {n} labels, one per feature row, got {leaf_ids.size}")
     rng = np.random.default_rng(cfg.seed)
     scorer = ToyScorer(
         weight=rng.normal(0.0, 0.01, size=(c, len(h))),
@@ -212,17 +219,22 @@ def train(
     betas: list[float] = []
     triplet_losses: list[float] = []
 
-    # The step's logits, per-row loss values and logit gradient, on memory
-    # the workers share. cce_loss writes its gradient into row_grads too.
+    # The step's logits, scorer bias, per-row loss values and logit
+    # gradient, on memory the workers share. But for cce, the logits hold
+    # x @ W alone and each row block adds the bias: the same IEEE add per
+    # element as ToyScorer.logits. cce_loss writes into row_grads too.
     logits = shared_zeros((n, len(h)), np.float64)
+    bias = shared_zeros((len(h),), np.float64)
     row_values = shared_zeros((n,), np.float64)
     row_grads = shared_zeros((n, len(h)), np.float64)
 
     def rows_step(part: list[slice]) -> None:
-        # One row block at a time, so every temporary is block-sized.
+        # One row block at a time, so every temporary is block-sized. The
+        # labels were checked before the first step.
         for rows in part:
-            s = 1.0 / (1.0 + np.exp(-logits[rows]))
-            row_values[rows], dvds = batch_loss(h, s, leaf_ids[rows], cfg.loss, focal)
+            s = 1.0 / (1.0 + np.exp(-(logits[rows] + bias)))
+            pos = h.ancestor_mask[leaf_ids[rows]]
+            row_values[rows], dvds = block_loss(h, s, pos, cfg.loss, focal)
             np.multiply((dvds / n) * s, 1.0 - s, out=row_grads[rows])
 
     beta = tt_value = 0.0
@@ -239,24 +251,27 @@ def train(
         # One row block per worker is enough. On a 2-core VM a step's round
         # trip to a worker took 4-27 us, and fork plus reap of a 60 MB
         # process 1.7 ms once per run, against about 1 ms for one block's
-        # sigmoid, batch_loss(ftm) and chain rule on the 13-node tree (1260
+        # sigmoid, block_loss(ftm) and chain rule on the 13-node tree (1260
         # rows) or on Mapillary (112 rows). Asking for more blocks per
         # worker than there are blocks forks no worker.
         forked = held and cfg.loss in WORKER_LOSSES
         with block_workers(blocks, rows_step, 1 if forked else len(blocks) + 1) as step_rows:
             for step in range(cfg.iterations):
                 beta = cfg.beta(step) if proj is not None else 0.0
-                scorer.logits(x, out=logits)
                 if cfg.loss == "cce":
+                    scorer.logits(x, out=logits)
                     value, _ = cce_loss(h, logits, leaf_ids, out=row_grads)
                 else:
+                    np.matmul(x, scorer.weight, out=logits)
+                    bias[:] = scorer.bias
                     try:
                         step_rows(first)
                     except Exception:
                         # A score is NaN exactly where its logit is, and
-                        # batch_loss raises ValueError on it. Run serially,
-                        # that error would come before the triplet step's.
-                        if np.isnan(logits).any():  # the scorer diverged
+                        # the tree-min kernels raise ValueError on it. Run
+                        # serially, that error would come before the
+                        # triplet step's.
+                        if np.isnan(logits + bias).any():  # the scorer diverged
                             raise TrainingDivergedError(
                                 f"non-finite segmentation loss at step {step}"
                             ) from None
@@ -311,7 +326,8 @@ def _triplet_step(
     beta: float,
     rng: np.random.Generator,
 ) -> float:
-    """One SGD step on the projection head; returns the mean hinge value.
+    """One SGD step on the projection head; returns the mean hinge value,
+    or NaN, with no step, once the head's embeddings overflow.
 
     Degenerate batches yield no triplets and reduce the step to the
     segmentation term alone.
@@ -329,9 +345,14 @@ def _triplet_step(
     used = z.any(axis=2).all(axis=1)
     if not used.any():
         return 0.0
-    values, g_a, g_p, g_n = batch_triplet_loss(
-        z[used, 0], z[used, 1], z[used, 2], triplets.margin[used]
-    )
+    try:
+        values, g_a, g_p, g_n = batch_triplet_loss(
+            z[used, 0], z[used, 1], z[used, 2], triplets.margin[used]
+        )
+    except ValueError:
+        # Every row passed in is nonzero, so a norm or its cube overflowed:
+        # the head diverged, and train reports the loss as non-finite.
+        return math.nan
     total = 0.0
     for v in values.tolist():  # in order, as a running sum
         total += v

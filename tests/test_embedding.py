@@ -318,6 +318,19 @@ class TestBatchTripletLoss:
             batch_triplet_loss(*args, np.full(len(args[0]), 0.3))
 
 
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_a_norm_whose_cube_overflows_is_rejected(self, which):
+        """A norm near 1e103 is finite, but its cube, which the distance
+        gradient divides by, is not: bad input, not ``OverflowError``."""
+        args = list(self._case()[:3])
+        args[which] = args[which].copy()
+        args[which][5] = 1e103
+        with pytest.raises(ValueError, match="too large to cube"):
+            batch_triplet_loss(*args, np.full(len(args[0]), 0.3))
+        with pytest.raises(ValueError, match="too large to cube"):
+            tree_triplet_loss(args[0][5], args[1][5], args[2][5], 0.3)
+
+
 def reference_triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng):
     """The per-triplet projection step that ``training._triplet_step``
     replaced, on the per-draw sampler and the per-triplet hinge."""

@@ -188,6 +188,19 @@ def test_train_toy_rejects_out_of_range_values(tmp_path, args, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lr, step", [("1e25", 3), ("1e100", 1)])
+def test_train_toy_reports_a_diverging_projection_head(tmp_path, lr, step, capsys):
+    """The head's embeddings overflow, as a norm's cube at lr 1e25 and as a
+    norm at lr 1e100: a numerical failure, not a traceback or bad input."""
+    with np.errstate(all="ignore"):
+        rc = main(["train-toy", "--tax", PPP, "--out-dir", str(tmp_path / "out"),
+                   "--loss", "ftm", "--use-triplet", "--iterations", "30",
+                   "--pixels-per-class", "100", "--lr", lr])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"numerical failure: non-finite triplet loss at step {step}" in err
+
+
 @pytest.mark.parametrize("loss, kernel", [("ftm", "batch_loss"), ("cce", "cce_loss")])
 def test_gradcheck_fails_on_a_wrong_kernel_gradient(loss, kernel, monkeypatch, capsys):
     """gradcheck differentiates the kernels training calls, so a gradient

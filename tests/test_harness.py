@@ -50,6 +50,21 @@ class TestBetaSchedule:
         with pytest.raises(ValueError, match="beta schedule"):
             TrainConfig(beta_kind="linear")
 
+    @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
+    def test_momentum_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="momentum must be finite and >= 0"):
+            TrainConfig(momentum=value)
+
+    @pytest.mark.parametrize("value", [-1e-4, np.nan, np.inf])
+    def test_weight_decay_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="weight_decay must be finite and >= 0"):
+            TrainConfig(weight_decay=value)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_proj_dim_must_be_positive(self, value):
+        with pytest.raises(ValueError, match=f"proj_dim must be >= 1, got {value}"):
+            TrainConfig(proj_dim=value)
+
 
 class TestSynthetic:
     def test_center_distances_track_tree_distance(self, three_level):
@@ -162,6 +177,18 @@ class TestTraining:
         with pytest.raises(ValueError, match=f"label id {label} is not a leaf"):
             # No step runs, so no loss kernel sees the labels: train checks them itself.
             train(features, LabelField(leaf), h, TrainConfig(iterations=0, loss=loss))
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_label_count_must_match_feature_rows(self, three_level, loss, extra):
+        features, labels, h = generate_synthetic(
+            SyntheticConfig(feature_dim=8, pixels_per_class=5, seed=0), three_level
+        )
+        leaf = labels.leaf.reshape(-1)
+        leaf = np.concatenate([leaf, leaf[:1]]) if extra > 0 else leaf[:-1]
+        n = labels.leaf.size
+        with pytest.raises(ValueError, match=f"expected {n} labels, one per feature row"):
+            train(features, LabelField(leaf[None]), h, TrainConfig(iterations=1, loss=loss))
 
     @pytest.mark.parametrize("loss", LOSSES)
     def test_sgd_step_is_the_mean_loss_gradient(self, three_level, loss):

@@ -30,7 +30,14 @@ from hiertax.coherence import (
 )
 from hiertax.evaluation import decode_batch
 from hiertax.gradcheck import random_hierarchy
-from hiertax.losses import FIELD_LOSSES, batch_loss, focal_tree_min_loss, tree_min_loss
+from hiertax.losses import (
+    FIELD_LOSSES,
+    FocalConfig,
+    batch_loss,
+    block_loss,
+    focal_tree_min_loss,
+    tree_min_loss,
+)
 from hiertax.taxonomy import build_hierarchy
 from hiertax.training import coherence_violation_rate
 
@@ -220,6 +227,30 @@ def test_tree_min_batch_loss_matches_scalar_losses(seed, n_nodes, n_rows):
         values32, grad32 = batch_loss(h, s.astype(np.float32), leaf_ids, which)
         assert_same_bits(values32, values)
         assert_same_bits(grad32, grad)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(1, 20),
+    n_rows=st.integers(1, 12),
+    block=st.integers(1, 12),
+)
+def test_block_loss_fed_mask_rows_matches_batch_loss(seed, n_nodes, n_rows, block):
+    """The block kernel that ``train`` calls, on blocks of ``block`` rows
+    (one row included) with ``ancestor_mask`` rows for labels, gives
+    ``batch_loss``'s bits in float64 and in float32."""
+    h, s, leaf_ids = _case(seed, n_nodes, n_rows)
+    cfg = FocalConfig()
+    for scores in (s, s.astype(np.float32)):
+        for which in FIELD_LOSSES:
+            want_values, want_grad = batch_loss(h, scores, leaf_ids, which)
+            got = [
+                block_loss(h, scores[i:i + block], h.ancestor_mask[leaf_ids[i:i + block]],
+                           which, cfg)
+                for i in range(0, n_rows, block)
+            ]
+            assert_same_bits(np.concatenate([v for v, _ in got]), want_values)
+            assert_same_bits(np.concatenate([g for _, g in got]), want_grad)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 20), n_rows=st.integers(1, 30))
