@@ -38,19 +38,22 @@ EXIT_NUMERICAL = 3
 
 
 def _read_config_file(path: str | None) -> dict[str, str]:
-    """Optional key=value config file; later command-line flags win."""
+    """Optional key=value config file, each key once; later flags win."""
     if path is None:
         return {}
     out = {}
     with open(path) as f:
-        for raw in f:
+        for number, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise click.ClickException(f"bad config line: {line!r}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in out:
+                raise click.ClickException(f"config key {key} repeated on line {number}")
+            out[key] = value.strip()
     return out
 
 

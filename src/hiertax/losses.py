@@ -10,9 +10,9 @@ evaluated at the clipped scores.
 rows; per-row values are summed over C-contiguous (rows, |V|) blocks, so
 its output does not depend on N or on the blocking. Each block goes
 through ``block_loss``, which takes the block's positive mask in place of
-leaf ids and checks nothing; ``training.train`` calls it directly. The
-tree-min losses route each node's gradient to the node whose score
-propagation copied, ties to the smallest node id.
+leaf ids and checks nothing; ``training.train`` calls it, and ``cce_rows``
+for the softmax, directly. The tree-min losses route each node's gradient
+to the node whose score propagation copied, ties to the smallest node id.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .coherence import (
     run_blocks,
     shared_zeros,
 )
-from .fields import LabelField, ScoreField
+from .fields import IGNORE, LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
 # Every loss the trainer and the gradient check accept.
@@ -69,39 +69,43 @@ def _clip(x: np.ndarray) -> np.ndarray:
 
 
 def cce_loss(
-    h: ClassHierarchy, logits: np.ndarray, leaf_ids: np.ndarray, out: np.ndarray | None = None
+    h: ClassHierarchy, logits: np.ndarray, leaf_ids: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the leaf logits of N rows.
-
-    ``logits`` is (N, |V|); internal nodes' logits are ignored and get zero
-    gradient. Returns the mean value and its (N, |V|) gradient with respect
-    to ``logits``, written into ``out`` when it is given (an array of that
-    shape, as ``train`` keeps one for every step). Raises ``ValueError``
-    naming the first label id that is not a leaf of ``h``.
-    """
+    """Mean softmax cross-entropy over the leaf logits of (N, |V|) ``logits``,
+    and its gradient, zero at internal nodes, from one ``cce_rows`` call.
+    Raises ``ValueError`` naming the first label id that is not a leaf of ``h``."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = h.leaf_positions(leaf_ids)
     if logits.ndim != 2 or logits.shape[1] != len(h) or targets.shape != logits.shape[:1]:
         raise ValueError(
             f"expected (N, {len(h)}) logits and N leaf ids, got {logits.shape} and {targets.shape}"
         )
+    grad = np.empty_like(logits)
+    values = cce_rows(h, logits, targets, len(targets), grad)
+    # Minus the mean log-likelihood: a mean of 0s is +0.0, not -0.0.
+    return -float((-values).mean()), grad
+
+
+def cce_rows(
+    h: ClassHierarchy, z: np.ndarray, targets: np.ndarray, n: int, out: np.ndarray
+) -> np.ndarray:
+    """``cce_loss`` of one row block: the per-row values of (B, |V|) float64
+    logits ``z``, given the labels' positions in ``h.leaves``. Writes into
+    ``out`` the gradient of the mean over the run's ``n`` rows; a row's
+    bits depend on no other row. Checks nothing."""
     leaves = np.array(h.leaves, dtype=np.int64)
-    # One (N, leaves) array, updated in place: the same bits as a new array
+    # One (B, leaves) array, updated in place: the same bits as a new array
     # for each step of the softmax.
-    y = logits[:, leaves]
+    y = z[:, leaves]
     y -= y.max(axis=1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    value = float(-np.log(np.clip(y[np.arange(n), targets], EPSILON, None)).mean())
-    y[np.arange(n), targets] -= 1.0
+    values = -np.log(np.clip(y[np.arange(len(y)), targets], EPSILON, None))
+    y[np.arange(len(y)), targets] -= 1.0
     y /= n
-    if out is None:
-        out = np.zeros_like(logits)
-    else:
-        out.fill(0.0)
+    out.fill(0.0)
     out[:, leaves] = y
-    return value, out
+    return values
 
 
 def _bce_terms(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,36 +286,29 @@ def field_loss(
     gradient field. A NaN score raises ``ValueError``, at an ignored pixel
     too.
 
-    ``batch_loss`` runs on one row block's valid pixels at a time: it
-    propagates them in the field's dtype and widens only the propagated
-    block to float64. The blocks are split between ``coherence.run_blocks``
-    workers, one per usable CPU with at least ``MIN_BLOCKS`` blocks each,
-    which write the gradient and the per-pixel values into
-    ``shared_zeros`` memory; the values sit in pixel order and are summed
-    once, as over the whole field, after every worker has ended. The
-    caller's peak RSS does not include the pages its workers touch.
+    ``batch_loss`` runs on one row block's valid pixels at a time. The
+    blocks are split between ``coherence.run_blocks`` workers, one per
+    usable CPU with at least ``MIN_BLOCKS`` blocks each, which write the
+    gradient and each valid pixel's value at its pixel into ``shared_zeros``
+    memory; the valid values are summed once, in pixel order, after every
+    worker has ended. The caller's peak RSS does not include the pages its
+    workers touch.
     """
     blocks = field_blocks(h, scores, gt)
     flat_s = scores.scores.reshape(-1, len(h))
     flat_l = gt.leaf.reshape(-1)
+    valid = flat_l != IGNORE
+    n = int(np.count_nonzero(valid))
     grad = shared_zeros(flat_s.shape, np.float64)
-    # Each block's values start after the valid pixels of the blocks before it.
-    counts = [np.count_nonzero(valid) for _, valid in blocks]
-    starts = np.cumsum([0] + counts).tolist()
-    n = starts[-1]
-    if n == 0:
-        for rows, valid in blocks:
-            _check_ignored_rows(flat_s[rows], valid)
-        return 0.0, grad.reshape(scores.scores.shape)
-    values = shared_zeros((n,), np.float64)
+    values = shared_zeros(flat_l.shape, np.float64)  # each at its own pixel
 
     def work(part: list) -> None:
-        for (rows, valid), at in part:
-            _check_ignored_rows(flat_s[rows], valid)
-            ids = flat_l[rows][valid].astype(np.int64)
-            v, g = batch_loss(h, flat_s[rows][valid], ids, which, cfg)
-            values[at:at + v.size] = v
-            grad[rows][valid] = g / n
+        for rows, ok in part:
+            _check_ignored_rows(flat_s[rows], ok)
+            ids = flat_l[rows][ok].astype(np.int64)
+            v, g = batch_loss(h, flat_s[rows][ok], ids, which, cfg)
+            values[rows][ok] = v
+            grad[rows][ok] = g / n
 
-    run_blocks(list(zip(blocks, starts)), work)
-    return float(values.sum() / n), grad.reshape(scores.scores.shape)
+    run_blocks(blocks, work)
+    return float(values[valid].sum() / max(n, 1)), grad.reshape(scores.scores.shape)

@@ -36,8 +36,18 @@ def write_run_json(path, report: TrainReport) -> None:
 
 
 def load_run_json(path) -> dict:
+    """A saved run.json; ``ValueError`` names the first key that ``write_report_files``
+    reads and the file lacks, or the first curve that is not a list as long as ``losses``."""
     with open(path) as f:
-        return json.load(f)
+        run = json.load(f)
+    keys = ("losses", "betas", "triplet_losses", "level_miou", "violation_rate")
+    for key in keys:
+        if not isinstance(run, dict) or key not in run:
+            raise ValueError(f"{path}: missing key {key!r}")
+    for key in keys[:3]:
+        if not isinstance(run[key], list) or len(run[key]) != len(run["losses"]):
+            raise ValueError(f"{path}: {key!r} must be a list as long as 'losses'")
+    return run
 
 
 def write_report_files(artifacts: dict, out_dir) -> list[str]:

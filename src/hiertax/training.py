@@ -8,17 +8,15 @@ deterministic for a fixed seed.
 
 ``train`` and ``run_toy`` hold OpenBLAS's thread pool at one thread while
 they run, so the bits of every reduction over pixels that BLAS computes do
-not depend on the pool's size. For every loss but ``cce``, ``train`` forks
-its ``coherence.block_workers`` once per run. Each step the caller computes
-``x @ W`` alone; then the caller and the workers add the bias, run the
-sigmoid, ``losses.block_loss`` and the chain rule on contiguous ranges of
-whole row blocks, and the caller alone makes every reduction over rows, so
-every output bit is the serial one. With ``use_triplet``, the caller runs
-the projection head's step first in each round, and a worker that has
-finished its own range takes row blocks from the back of the caller's.
-The head's step reads neither the logits nor the loss gradient, and only
-the caller draws from the run's generator. A head whose embeddings
-overflow float64 ends the run with ``TrainingDivergedError``.
+not depend on the pool's size. Each step the caller computes ``x @ W``
+alone; then ``train``'s ``coherence.block_workers`` add the bias and run
+``losses.cce_rows``, or the sigmoid, ``losses.block_loss`` and the chain
+rule, on whole row blocks, and the caller alone makes every reduction over
+rows, so every output bit is the serial one. With ``use_triplet``, the
+caller runs the projection head's step first in each round, while workers
+that have finished their own ranges take row blocks from the back of the
+caller's. A head whose embeddings overflow float64 ends the run with
+``TrainingDivergedError``.
 """
 
 from __future__ import annotations
@@ -46,15 +44,11 @@ from .embedding import (
 )
 from .evaluation import LevelScore, decode_batch, evaluate_prediction_levels
 from .fields import LabelField
-from .losses import LOSSES, FocalConfig, block_loss, cce_loss
+from .losses import LOSSES, FocalConfig, block_loss, cce_rows
 from .synthetic import SyntheticConfig, generate_synthetic
 from .taxonomy import ClassHierarchy
 
 HELDOUT_SEED_OFFSET = 1_000_003
-
-# The losses whose per-row step work runs on forked workers. cce takes its
-# mean inside cce_loss, and its rows ran no faster on a worker.
-WORKER_LOSSES = ("bce", "focal", "tm", "ftm")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -115,8 +109,8 @@ class ToyScorer:
     weight: np.ndarray  # (feature_dim, |V|)
     bias: np.ndarray    # (|V|,)
 
-    def logits(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.add(np.matmul(x, self.weight, out=out), self.bias, out=out)
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.weight + self.bias
 
 
 @dataclass
@@ -189,12 +183,11 @@ def train(
     """Full-batch SGD on the toy scorer; see module docstring.
 
     The labels are checked once, before the first step. With OpenBLAS's
-    pool held at one thread, the step's per-row work for the
-    ``WORKER_LOSSES`` runs on ``min(usable CPUs, row blocks)`` workers,
-    forked before the first step and reaped after the last; otherwise, and
-    inside a worker, it runs in the caller. The triplet step runs in the
-    caller at the start of each step's round. A non-finite segmentation or
-    triplet loss raises ``TrainingDivergedError`` naming its step.
+    pool held at one thread, the step's rows run on ``min(usable CPUs, row
+    blocks)`` workers, forked once per run; otherwise, and inside a worker,
+    in the caller. ``cce``'s rows are one block, which forks no worker. A
+    non-finite segmentation or triplet loss raises ``TrainingDivergedError``
+    naming its step.
     """
     x = np.asarray(features, dtype=np.float64).reshape(-1, features.shape[-1])
     leaf_ids = labels.leaf.reshape(-1).astype(np.int64)
@@ -220,19 +213,22 @@ def train(
     triplet_losses: list[float] = []
 
     # The step's logits, scorer bias, per-row loss values and logit
-    # gradient, on memory the workers share. But for cce, the logits hold
-    # x @ W alone and each row block adds the bias: the same IEEE add per
-    # element as ToyScorer.logits. cce_loss writes into row_grads too.
+    # gradient, on memory the workers share. The logits hold x @ W, and each
+    # row block adds the bias in place: the same IEEE add per element as
+    # ToyScorer.logits.
     logits = shared_zeros((n, len(h)), np.float64)
     bias = shared_zeros((len(h),), np.float64)
     row_values = shared_zeros((n,), np.float64)
     row_grads = shared_zeros((n, len(h)), np.float64)
 
     def rows_step(part: list[slice]) -> None:
-        # One row block at a time, so every temporary is block-sized. The
-        # labels were checked before the first step.
+        # The labels were checked before the first step.
         for rows in part:
-            s = 1.0 / (1.0 + np.exp(-(logits[rows] + bias)))
+            z = np.add(logits[rows], bias, out=logits[rows])
+            if cfg.loss == "cce":
+                row_values[rows] = cce_rows(h, z, h.leaf_index[leaf_ids[rows]], n, row_grads[rows])
+                continue
+            s = 1.0 / (1.0 + np.exp(-z))
             pos = h.ancestor_mask[leaf_ids[rows]]
             row_values[rows], dvds = block_loss(h, s, pos, cfg.loss, focal)
             np.multiply((dvds / n) * s, 1.0 - s, out=row_grads[rows])
@@ -246,41 +242,33 @@ def train(
         tt_value = _triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng)
 
     first = triplet_step if proj is not None else None
-    blocks = row_blocks(h, n)
+    # cce's steps ran slower in 13 blocks than in one, in the caller or on a worker.
+    blocks = [slice(0, n)] if cfg.loss == "cce" else row_blocks(h, n)
     with _one_blas_thread() as held:
         # One row block per worker is enough. On a 2-core VM a step's round
         # trip to a worker took 4-27 us, and fork plus reap of a 60 MB
         # process 1.7 ms once per run, against about 1 ms for one block's
         # sigmoid, block_loss(ftm) and chain rule on the 13-node tree (1260
         # rows) or on Mapillary (112 rows). Asking for more blocks per
-        # worker than there are blocks forks no worker.
-        forked = held and cfg.loss in WORKER_LOSSES
-        with block_workers(blocks, rows_step, 1 if forked else len(blocks) + 1) as step_rows:
+        # worker than there are blocks, as one block does, forks no worker.
+        with block_workers(blocks, rows_step, 1 if held else len(blocks) + 1) as step_rows:
             for step in range(cfg.iterations):
                 beta = cfg.beta(step) if proj is not None else 0.0
-                if cfg.loss == "cce":
-                    scorer.logits(x, out=logits)
-                    value, _ = cce_loss(h, logits, leaf_ids, out=row_grads)
-                else:
-                    np.matmul(x, scorer.weight, out=logits)
-                    bias[:] = scorer.bias
-                    try:
-                        step_rows(first)
-                    except Exception:
-                        # A score is NaN exactly where its logit is, and
-                        # the tree-min kernels raise ValueError on it. Run
-                        # serially, that error would come before the
-                        # triplet step's.
-                        if np.isnan(logits + bias).any():  # the scorer diverged
-                            raise TrainingDivergedError(
-                                f"non-finite segmentation loss at step {step}"
-                            ) from None
-                        raise
-                    value = float(row_values.mean())
+                np.matmul(x, scorer.weight, out=logits)
+                bias[:] = scorer.bias
+                try:
+                    step_rows(first)
+                except Exception:
+                    # The tree-min kernels raise ValueError on a NaN score. Blocks
+                    # that ran hold logits + bias; adding it again keeps each NaN.
+                    if np.isnan(logits + bias).any():  # the scorer diverged
+                        raise TrainingDivergedError(
+                            f"non-finite segmentation loss at step {step}"
+                        ) from None
+                    raise
+                value = float(row_values.mean())
                 if not np.isfinite(value):
                     raise TrainingDivergedError(f"non-finite segmentation loss at step {step}")
-                if cfg.loss == "cce" and first is not None:
-                    first()
                 if not np.isfinite(tt_value):
                     raise TrainingDivergedError(f"non-finite triplet loss at step {step}")
 

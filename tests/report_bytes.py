@@ -1,22 +1,29 @@
-"""Print one sha256 per ``train-toy`` report file, for 24 seeded configs.
+"""Print one sha256 per ``train-toy`` report file, for 28 seeded configs.
 
-The configs are ``cce``, ``bce``, ``focal``, ``tm``, ``ftm`` and ``ftm
---use-triplet`` on the four bundled trees: seed 3, 100 px/class, 40
-iterations, feature dim 32 (128 for Mapillary). Each runs in its own
-subprocess with ``OPENBLAS_NUM_THREADS=1``, one after another. Run from
-the root of a checkout, once against each source tree, and diff the two
-outputs; a change that keeps every report byte prints the same lines:
+The configs are ``cce``, ``cce --use-triplet``, ``bce``, ``focal``, ``tm``,
+``ftm`` and ``ftm --use-triplet`` on the four bundled trees: seed 3, 100
+px/class, 40 iterations, feature dim 32 (128 for Mapillary). Each runs in
+its own subprocess with ``OPENBLAS_NUM_THREADS=1``, one after another. Run
+from the root of a checkout, once against each source tree, and diff the
+two outputs; a change that keeps every report byte prints the same lines:
 
     python tests/report_bytes.py path/to/parent/src > parent.txt
     python tests/report_bytes.py > change.txt
     diff parent.txt change.txt
 
+With ``--check FILE``, nothing is printed but the lines that differ from
+FILE (blank lines and ``#`` comments in it skipped), as a unified diff:
+
+    python tests/report_bytes.py --check tests/report_digests.txt
+
 The source tree defaults to this checkout's ``src``. The exit code is 1
-when a run fails.
+when a run fails or a line differs.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import os
 import subprocess
@@ -34,7 +41,8 @@ TREES = {
     "pascal_person_part": 32,
 }
 LOSS_ARGS = (
-    ("cce",), ("bce",), ("focal",), ("tm",), ("ftm",), ("ftm", "--use-triplet"),
+    ("cce",), ("cce", "--use-triplet"), ("bce",), ("focal",), ("tm",), ("ftm",),
+    ("ftm", "--use-triplet"),
 )
 CODE = "import sys; from hiertax.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -69,17 +77,39 @@ def report_digests(src: str, name: str, args: list[str], out_dir: Path) -> list[
     ]
 
 
+def differences(got: list[str], path: str) -> list[str]:
+    """The unified diff, without context, of the digest lines in ``path``
+    against ``got``; empty when they are the same."""
+    want = [
+        line for line in Path(path).read_text().splitlines()
+        if line and not line.startswith("#")
+    ]
+    return list(difflib.unified_diff(want, got, path, "this run", n=0, lineterm=""))
+
+
 def main(argv: list[str]) -> int:
-    src = str(Path(argv[0]).resolve()) if argv else str(ROOT / "src")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", default=str(ROOT / "src"))
+    parser.add_argument("--check", metavar="FILE", help="print only the lines that differ")
+    args = parser.parse_args(argv)
+    src = str(Path(args.src).resolve())
+    got = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (name, args) in enumerate(configs()):
+        for i, (name, run_args) in enumerate(configs()):
             try:
-                lines = report_digests(src, name, args, Path(tmp) / str(i))
+                lines = report_digests(src, name, run_args, Path(tmp) / str(i))
             except RuntimeError as exc:
                 print(exc, file=sys.stderr)
                 return 1
-            print("\n".join(lines), flush=True)
-    return 0
+            got += lines
+            if args.check is None:
+                print("\n".join(lines), flush=True)
+    if args.check is None:
+        return 0
+    diff = differences(got, args.check)
+    for line in diff:
+        print(line)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

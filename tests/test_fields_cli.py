@@ -150,6 +150,17 @@ class TestTrainToyConfig:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, key", [
+        ("loss=ftm\nloss=cce\n", "loss"),
+        ("use-triplet=1\n# both spellings\nuse_triplet=0\n", "use_triplet"),
+    ], ids=["loss", "use_triplet"])
+    def test_repeated_key_rejected(self, tmp_path, tiny_tax_file, capsys, text, key):
+        rc, out = self._run(tmp_path, tiny_tax_file, text)
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"config key {key} repeated on line {text.count(chr(10))}" in err
+        assert not out.exists()
+
     def test_flag_beats_config(self, tmp_path, tiny_tax_file):
         rc, out = self._run(tmp_path, tiny_tax_file,
                             "lr=0.5\nseed=4\nuse-triplet=YES\n", "--lr", "0.25")
@@ -158,6 +169,32 @@ class TestTrainToyConfig:
         assert config["lr"] == 0.25
         assert config["seed"] == 4
         assert config["use_triplet"] is True
+
+
+def _saved_run(tmp_path) -> dict:
+    out = tmp_path / "run"
+    assert main(["train-toy", "--tax", PPP, "--out-dir", str(out),
+                 "--iterations", "3", "--pixels-per-class", "5"]) == EXIT_OK
+    return json.loads((out / "run.json").read_text())
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda run: run.pop("betas"), "missing key 'betas'"),
+    (lambda run: run["losses"].append(1.0), "'betas' must be a list as long as 'losses'"),
+], ids=["no-betas", "long-losses"])
+def test_report_rejects_a_malformed_run_json(tmp_path, capsys, edit, match):
+    """A run.json without a key the report reads, or with curves of
+    different lengths, fails validation before any file is written."""
+    run = _saved_run(tmp_path)
+    edit(run)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(run))
+    out = tmp_path / "report"
+    capsys.readouterr()
+    assert main(["report", "--run", str(path), "--out-dir", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation failure" in err and match in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hiertax.coherence import expand_labels, propagate
+from hiertax.coherence import expand_labels, propagate, row_blocks
 from hiertax.fields import IGNORE, LabelField, ScoreField
 from hiertax.gradcheck import (
     central_difference,
@@ -20,6 +22,7 @@ from hiertax.losses import (
     _focal_terms,
     bce_loss,
     cce_loss,
+    cce_rows,
     field_loss,
     focal_loss,
     focal_tree_min_loss,
@@ -68,6 +71,67 @@ class TestCCE:
 
     def test_gradcheck(self):
         assert gradcheck_loss("cce", trials=25, seed=11) < 1e-4
+
+
+def reference_cce_loss(
+    h, logits: np.ndarray, leaf_ids: np.ndarray, out: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """``cce_loss`` as it was before its body became the ``cce_rows`` block
+    kernel, kept verbatim as that kernel's oracle."""
+    logits = np.asarray(logits, dtype=np.float64)
+    targets = h.leaf_positions(leaf_ids)
+    if logits.ndim != 2 or logits.shape[1] != len(h) or targets.shape != logits.shape[:1]:
+        raise ValueError(
+            f"expected (N, {len(h)}) logits and N leaf ids, got {logits.shape} and {targets.shape}"
+        )
+    leaves = np.array(h.leaves, dtype=np.int64)
+    # One (N, leaves) array, updated in place: the same bits as a new array
+    # for each step of the softmax.
+    y = logits[:, leaves]
+    y -= y.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+    n = logits.shape[0]
+    value = float(-np.log(np.clip(y[np.arange(n), targets], EPSILON, None)).mean())
+    y[np.arange(n), targets] -= 1.0
+    y /= n
+    if out is None:
+        out = np.zeros_like(logits)
+    else:
+        out.fill(0.0)
+    out[:, leaves] = y
+    return value, out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(1, 60),
+    n=st.integers(1, 2500),
+    steps=st.integers(1, 6),
+)
+def test_cce_kernel_over_row_blocks_matches_the_reference(seed, n_nodes, n, steps):
+    """``cce_loss``, and ``cce_rows`` block by block with the run's n (as
+    ``train`` would run a larger batch), give the reference's value and
+    gradient bit for bit. Logits on a grid of 2 * steps + 1 values tie
+    within rows; a tree of one leaf gives every row the value 0."""
+    rng = np.random.default_rng(seed)
+    h = random_hierarchy(rng, n_nodes)
+    logits = rng.integers(-steps, steps + 1, size=(n, len(h))) * 1.75
+    leaf_ids = rng.choice(np.array(h.leaves), size=n)
+    want_value, want_grad = reference_cce_loss(h, logits, leaf_ids)
+
+    value, grad = cce_loss(h, logits, leaf_ids)
+    assert_same_bits(np.float64(value), np.float64(want_value))
+    assert_same_bits(grad, want_grad)
+
+    targets = h.leaf_positions(leaf_ids)
+    values, grad = np.empty(n), np.full(logits.shape, np.nan)
+    for rows in row_blocks(h, n):
+        values[rows] = cce_rows(h, logits[rows], targets[rows], n, grad[rows])
+    # train's mean gives +0.0 where the reference gives -0.0, when every
+    # row's value is 0; its loss curve adds a term of at least +0.0 to it.
+    assert_same_bits(np.float64(values.mean() + 0.0), np.float64(want_value + 0.0))
+    assert_same_bits(grad, want_grad)
 
 
 class TestBCE:

@@ -1,10 +1,11 @@
 """Training's step workers and its hold on OpenBLAS's thread pool.
 
-``train`` forks its ``coherence.block_workers`` once per run for the
-``WORKER_LOSSES``. Every report must be the serial one, bit for bit,
-whatever the worker count, and no worker may outlive a call, whether it
-returns or raises. The worker count is forced through a patched CPU count,
-so these tests fork on a one-CPU machine too.
+``train`` forks its ``coherence.block_workers`` once per run, one per row
+block at most; ``cce``'s rows are one block, so it forks none. Every report
+must be the serial one, bit for bit, whatever the worker count, and no
+worker may outlive a call, whether it returns or raises. The worker count
+is forced through a patched CPU count, so these tests fork on a one-CPU
+machine too.
 """
 
 import hashlib
@@ -29,6 +30,7 @@ from conftest import TAX_DIR, assert_no_child_left, counted_forks, use_cpus
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 REPORT_FILES = ("run.json", "loss_curve.csv", "metrics.csv", "loss_curve.svg")
 CONFIGS = {loss: dict(loss=loss) for loss in LOSSES}
+CONFIGS["cce+tt"] = dict(loss="cce", use_triplet=True, triplet_count=40)
 CONFIGS["ftm+tt"] = dict(loss="ftm", use_triplet=True, triplet_count=40)
 
 
@@ -69,7 +71,7 @@ def test_reports_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, three_
         use_cpus(monkeypatch, cpus)
         before = len(pids)
         reports[cpus] = train(features, labels, three_level, cfg, heldout=held)
-        # Every loss but cce runs its rows on the workers.
+        # cce's rows are one block, which no worker takes.
         forked = cfg.loss != "cce" and training._blas_threads() is not None
         assert len(pids) - before == (cpus - 1 if forked else 0)
         files[cpus] = _report_bytes(reports[cpus], tmp_path / str(cpus))
@@ -257,10 +259,29 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
 def test_report_bytes_prints_one_digest_per_report_file(tmp_path):
     """A smoke run of one config of the report-byte gate."""
     configs = dict(report_bytes.configs())
-    assert len(configs) == 24
+    assert len(configs) == 28
     name = "pascal_person_part bce"
     lines = report_bytes.report_digests(SRC, name, configs[name], tmp_path / "out")
     digests, files = zip(*(line.split("  ") for line in lines))
     assert files == tuple(f"{name}/{f}" for f in REPORT_FILES)
     for digest, f in zip(digests, REPORT_FILES):
         assert digest == hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+
+
+def test_report_bytes_check_prints_only_the_lines_that_differ(tmp_path):
+    """``--check FILE`` skips the file's comments and blank lines, and
+    prints nothing when every digest matches. The committed file lists
+    every config's report files, in the order the script runs them."""
+    committed = Path(report_bytes.__file__).with_name("report_digests.txt").read_text()
+    lines = [line for line in committed.splitlines() if line and not line.startswith("#")]
+    names = [line.split("  ")[1] for line in lines]
+    assert names == [f"{name}/{f}" for name, _ in report_bytes.configs() for f in REPORT_FILES]
+
+    want = ["aa  x/run.json", "bb  x/metrics.csv"]
+    path = tmp_path / "digests.txt"
+    path.write_text("# header\n\n" + "\n".join(want) + "\n")
+    assert report_bytes.differences(want, str(path)) == []
+    diff = report_bytes.differences(["aa  x/run.json", "cc  x/metrics.csv"], str(path))
+    assert [line for line in diff if line[0] in "+-" and line[:3] not in ("---", "+++")] == [
+        "-bb  x/metrics.csv", "+cc  x/metrics.csv",
+    ]
