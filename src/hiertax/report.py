@@ -37,7 +37,8 @@ def write_run_json(path, report: TrainReport) -> None:
 
 def load_run_json(path) -> dict:
     """A saved run.json; ``ValueError`` names the first key that ``write_report_files``
-    reads and the file lacks, or the first curve that is not a list as long as ``losses``."""
+    reads and the file lacks, the first curve that is not a list as long as ``losses``,
+    or the first ``level_miou`` entry without ``level``, a dict ``iou`` and ``miou``."""
     with open(path) as f:
         run = json.load(f)
     keys = ("losses", "betas", "triplet_losses", "level_miou", "violation_rate")
@@ -47,6 +48,14 @@ def load_run_json(path) -> dict:
     for key in keys[:3]:
         if not isinstance(run[key], list) or len(run[key]) != len(run["losses"]):
             raise ValueError(f"{path}: {key!r} must be a list as long as 'losses'")
+    if not isinstance(run["level_miou"], list):
+        raise ValueError(f"{path}: 'level_miou' must be a list")
+    for i, entry in enumerate(run["level_miou"]):
+        for key in ("level", "iou", "miou"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(f"{path}: level_miou entry {i} lacks key {key!r}")
+        if not isinstance(entry["iou"], dict):
+            raise ValueError(f"{path}: level_miou entry {i}: 'iou' must be a dict")
     return run
 
 

@@ -8,11 +8,13 @@ deterministic for a fixed seed.
 
 ``train`` and ``run_toy`` hold OpenBLAS's thread pool at one thread while
 they run, so the bits of every reduction over pixels that BLAS computes do
-not depend on the pool's size. Each step the caller computes ``x @ W``
-alone; then ``train``'s ``coherence.block_workers`` add the bias and run
-``losses.cce_rows``, or the sigmoid, ``losses.block_loss`` and the chain
-rule, on whole row blocks, and the caller alone makes every reduction over
-rows, so every output bit is the serial one. With ``use_triplet``, the
+not depend on the pool's size. Each step, ``train``'s
+``coherence.block_workers`` run the whole step on fixed row blocks, for
+every loss: ``x @ W`` plus the bias, ``losses.cce_rows`` or the sigmoid,
+``losses.block_loss`` and the chain rule, and the block's own shares of the
+weight and bias gradients. The caller makes no product over all rows; it
+sums the blocks' shares in block order, so every output bit depends on the
+tree and the row count, not on the worker count. With ``use_triplet``, the
 caller runs the projection head's step first in each round, while workers
 that have finished their own ranges take row blocks from the back of the
 caller's. A head whose embeddings overflow float64 ends the run with
@@ -183,11 +185,14 @@ def train(
     """Full-batch SGD on the toy scorer; see module docstring.
 
     The labels are checked once, before the first step. With OpenBLAS's
-    pool held at one thread, the step's rows run on ``min(usable CPUs, row
-    blocks)`` workers, forked once per run; otherwise, and inside a worker,
-    in the caller. ``cce``'s rows are one block, which forks no worker. A
-    non-finite segmentation or triplet loss raises ``TrainingDivergedError``
-    naming its step.
+    pool held at one thread, the step runs on ``min(usable CPUs, row
+    blocks)`` workers, forked once per run, for every loss; otherwise, and
+    inside a worker, in the caller. Each of the ``row_blocks(h, n)`` blocks
+    writes its shares of the weight and bias gradients into slots allocated
+    once per run: blocks x c x |V| x 8 bytes, e.g. 21.6 KB for 16k pixels,
+    16 features and 13 nodes, or 16.5 MB for 12,400 pixels, 128 features
+    and 145 nodes. A non-finite segmentation or triplet loss raises
+    ``TrainingDivergedError`` naming its step.
     """
     x = np.asarray(features, dtype=np.float64).reshape(-1, features.shape[-1])
     leaf_ids = labels.leaf.reshape(-1).astype(np.int64)
@@ -212,26 +217,32 @@ def train(
     betas: list[float] = []
     triplet_losses: list[float] = []
 
-    # The step's logits, scorer bias, per-row loss values and logit
-    # gradient, on memory the workers share. The logits hold x @ W, and each
-    # row block adds the bias in place: the same IEEE add per element as
-    # ToyScorer.logits.
+    # The step's scorer, logits, per-row loss values and logit gradient, and
+    # each row block's own slot of the weight and bias gradients, on memory
+    # the workers share. A block writes only its own rows and slots.
+    blocks = list(enumerate(row_blocks(h, n)))
     logits = shared_zeros((n, len(h)), np.float64)
+    weight = shared_zeros((c, len(h)), np.float64)
     bias = shared_zeros((len(h),), np.float64)
     row_values = shared_zeros((n,), np.float64)
     row_grads = shared_zeros((n, len(h)), np.float64)
+    weight_parts = shared_zeros((len(blocks), c, len(h)), np.float64)
+    bias_parts = shared_zeros((len(blocks), len(h)), np.float64)
 
-    def rows_step(part: list[slice]) -> None:
+    def rows_step(part: list[tuple[int, slice]]) -> None:
         # The labels were checked before the first step.
-        for rows in part:
-            z = np.add(logits[rows], bias, out=logits[rows])
+        for i, rows in part:
+            z = np.matmul(x[rows], weight, out=logits[rows])
+            z += bias
             if cfg.loss == "cce":
                 row_values[rows] = cce_rows(h, z, h.leaf_index[leaf_ids[rows]], n, row_grads[rows])
-                continue
-            s = 1.0 / (1.0 + np.exp(-z))
-            pos = h.ancestor_mask[leaf_ids[rows]]
-            row_values[rows], dvds = block_loss(h, s, pos, cfg.loss, focal)
-            np.multiply((dvds / n) * s, 1.0 - s, out=row_grads[rows])
+            else:
+                s = 1.0 / (1.0 + np.exp(-z))
+                pos = h.ancestor_mask[leaf_ids[rows]]
+                row_values[rows], dvds = block_loss(h, s, pos, cfg.loss, focal)
+                np.multiply((dvds / n) * s, 1.0 - s, out=row_grads[rows])
+            np.matmul(x[rows].T, row_grads[rows], out=weight_parts[i])
+            np.sum(row_grads[rows], axis=0, out=bias_parts[i])
 
     beta = tt_value = 0.0
 
@@ -242,8 +253,6 @@ def train(
         tt_value = _triplet_step(h, x, leaf_ids, cfg, proj, proj_vel, beta, rng)
 
     first = triplet_step if proj is not None else None
-    # cce's steps ran slower in 13 blocks than in one, in the caller or on a worker.
-    blocks = [slice(0, n)] if cfg.loss == "cce" else row_blocks(h, n)
     with _one_blas_thread() as held:
         # One row block per worker is enough. On a 2-core VM a step's round
         # trip to a worker took 4-27 us, and fork plus reap of a 60 MB
@@ -254,14 +263,14 @@ def train(
         with block_workers(blocks, rows_step, 1 if held else len(blocks) + 1) as step_rows:
             for step in range(cfg.iterations):
                 beta = cfg.beta(step) if proj is not None else 0.0
-                np.matmul(x, scorer.weight, out=logits)
+                weight[:] = scorer.weight
                 bias[:] = scorer.bias
                 try:
                     step_rows(first)
                 except Exception:
                     # The tree-min kernels raise ValueError on a NaN score. Blocks
-                    # that ran hold logits + bias; adding it again keeps each NaN.
-                    if np.isnan(logits + bias).any():  # the scorer diverged
+                    # that never ran hold the last step's logits, so recompute.
+                    if np.isnan(scorer.logits(x)).any():  # the scorer diverged
                         raise TrainingDivergedError(
                             f"non-finite segmentation loss at step {step}"
                         ) from None
@@ -272,7 +281,9 @@ def train(
                 if not np.isfinite(tt_value):
                     raise TrainingDivergedError(f"non-finite triplet loss at step {step}")
 
-                grads = {"weight": x.T @ row_grads, "bias": row_grads.sum(axis=0)}
+                # Each slot array summed over axis 0, block after block (numpy
+                # adds pairwise only when a slot holds one element).
+                grads = {"weight": weight_parts.sum(axis=0), "bias": bias_parts.sum(axis=0)}
                 _sgd_step(scorer, scorer_vel, grads, cfg)
 
                 losses.append(value + beta * tt_value)

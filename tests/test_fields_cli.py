@@ -181,10 +181,13 @@ def _saved_run(tmp_path) -> dict:
 @pytest.mark.parametrize("edit, match", [
     (lambda run: run.pop("betas"), "missing key 'betas'"),
     (lambda run: run["losses"].append(1.0), "'betas' must be a list as long as 'losses'"),
-], ids=["no-betas", "long-losses"])
+    (lambda run: run["level_miou"][0].pop("miou"), "level_miou entry 0 lacks key 'miou'"),
+    (lambda run: run["level_miou"][1].update(iou=[0.5]), "level_miou entry 1: 'iou' must be a dict"),
+], ids=["no-betas", "long-losses", "entry-without-miou", "iou-not-a-dict"])
 def test_report_rejects_a_malformed_run_json(tmp_path, capsys, edit, match):
-    """A run.json without a key the report reads, or with curves of
-    different lengths, fails validation before any file is written."""
+    """A run.json without a key the report reads, with curves of different
+    lengths, or with a malformed ``level_miou`` entry, fails validation
+    before any file is written."""
     run = _saved_run(tmp_path)
     edit(run)
     path = tmp_path / "bad.json"

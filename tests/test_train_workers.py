@@ -1,11 +1,11 @@
 """Training's step workers and its hold on OpenBLAS's thread pool.
 
 ``train`` forks its ``coherence.block_workers`` once per run, one per row
-block at most; ``cce``'s rows are one block, so it forks none. Every report
-must be the serial one, bit for bit, whatever the worker count, and no
-worker may outlive a call, whether it returns or raises. The worker count
-is forced through a patched CPU count, so these tests fork on a one-CPU
-machine too.
+block at most, for every loss. Every report must be the serial one, and
+the scorer ``reference.train_scorer``'s, bit for bit, whatever the worker
+count, and no worker may outlive a call, whether it returns or raises.
+The worker count is forced through a patched CPU count, so these tests
+fork on a one-CPU machine too.
 """
 
 import hashlib
@@ -24,6 +24,7 @@ from hiertax.report import run_artifacts, write_report_files, write_run_json
 from hiertax.synthetic import SyntheticConfig, generate_synthetic
 from hiertax.training import TrainConfig, TrainingDivergedError, run_toy, train
 
+import reference
 import report_bytes
 from conftest import TAX_DIR, assert_no_child_left, counted_forks, use_cpus
 
@@ -71,13 +72,32 @@ def test_reports_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, three_
         use_cpus(monkeypatch, cpus)
         before = len(pids)
         reports[cpus] = train(features, labels, three_level, cfg, heldout=held)
-        # cce's rows are one block, which no worker takes.
-        forked = cfg.loss != "cce" and training._blas_threads() is not None
+        # Every loss, cce included, runs its steps in the same row blocks.
+        forked = training._blas_threads() is not None
         assert len(pids) - before == (cpus - 1 if forked else 0)
         files[cpus] = _report_bytes(reports[cpus], tmp_path / str(cpus))
     for cpus in (2, 3):
         _assert_same_report(reports[cpus], reports[1])
         assert files[cpus] == files[1]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+def test_train_matches_the_reference_trainer(monkeypatch, three_level, loss):
+    """Four row blocks, the last one short, at 1, 2 and 3 workers."""
+    features, labels = _data(three_level)
+    cfg = TrainConfig(iterations=12, seed=3, loss=loss)
+    x = features.reshape(-1, features.shape[-1]).astype(np.float64)
+    with training._one_blas_thread():  # as train holds it
+        want_losses, want_weight, want_bias = reference.train_scorer(
+            x, labels.leaf.reshape(-1).astype(np.int64), three_level, cfg
+        )
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        got = train(features, labels, three_level, cfg)
+        assert got.losses == want_losses
+        assert got.scorer.weight.tobytes() == want_weight.tobytes()
+        assert got.scorer.bias.tobytes() == want_bias.tobytes()
     assert_no_child_left()
 
 
@@ -131,13 +151,9 @@ def test_a_nan_row_raises_divergence_from_either_range(monkeypatch, three_level,
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("loss", ["bce", "ftm"])
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_nan_bias_alone_raises_divergence(monkeypatch, three_level, loss, cpus):
-    """The row blocks add the bias to x @ W themselves, so the check after
-    a failed round (ftm's kernel raises on a NaN score) must see it too."""
-    features, labels = _data(three_level)
-    use_cpus(monkeypatch, cpus)
+def _poison_after_step_1(monkeypatch, poison) -> None:
+    """Make ``poison(scorer)`` run right after the scorer's SGD update of
+    step 1, on finite parameters."""
     real, updates = training._sgd_step, []
 
     def poisoned(params, vel, grads, cfg):
@@ -145,10 +161,38 @@ def test_a_nan_bias_alone_raises_divergence(monkeypatch, three_level, loss, cpus
         if isinstance(params, training.ToyScorer):
             updates.append(None)
             if len(updates) == 2:  # after step 1
-                params.bias = np.full_like(params.bias, np.nan)
-                assert np.isfinite(params.weight).all()
+                assert np.isfinite(params.weight).all() and np.isfinite(params.bias).all()
+                poison(params)
 
     monkeypatch.setattr(training, "_sgd_step", poisoned)
+
+
+@pytest.mark.parametrize("loss", ["bce", "ftm"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_nan_bias_alone_raises_divergence(monkeypatch, three_level, loss, cpus):
+    """The row blocks add the bias to x @ W themselves, so the check after
+    a failed round (ftm's kernel raises on a NaN score) must see it too."""
+    features, labels = _data(three_level)
+    use_cpus(monkeypatch, cpus)
+    _poison_after_step_1(monkeypatch, lambda scorer: scorer.bias.fill(np.nan))
+    with pytest.raises(TrainingDivergedError, match="non-finite segmentation loss at step 2$"):
+        train(features, labels, three_level, TrainConfig(iterations=5, loss=loss))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("loss", ["cce", "bce", "ftm"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_nan_weight_entry_raises_divergence(monkeypatch, three_level, loss, cpus):
+    """The row blocks compute x @ W themselves, and after a failed round
+    the blocks that never ran hold the last step's logits, so the check
+    recomputes them. The entry is in a leaf's column, which cce reads."""
+    features, labels = _data(three_level)
+    use_cpus(monkeypatch, cpus)
+
+    def poison(scorer):
+        scorer.weight[0, three_level.leaves[0]] = np.nan
+
+    _poison_after_step_1(monkeypatch, poison)
     with pytest.raises(TrainingDivergedError, match="non-finite segmentation loss at step 2$"):
         train(features, labels, three_level, TrainConfig(iterations=5, loss=loss))
     assert_no_child_left()
