@@ -11,15 +11,27 @@ pixels.
 ``ScoreField`` keeps a float32 array as float32, so a field read from a
 file stays in the file's precision and is never widened as a whole; any
 other dtype is converted to float64. Readers check the header against the
-file size before they allocate, then read the payload straight into one
-array; writers write the array's buffer as it is. The field paths
+file size, then map the file read-only and view its payload in place: no
+copy is made, and a process holds only the pages it reads. So a field
+read from a file is read-only. ``ScoreField``'s [0, 1] check reads a
+mapped field one chunk at a time and drops each chunk's pages after it,
+so reading a field does not make it resident. The field paths
 (``propagate_field``, ``field_loss``, ``decode_field``) widen one row
-block at a time, so their temporaries are block-sized whatever the field.
+block at a time, so their temporaries are block-sized whatever the field,
+and each of their processes faults in only the rows it runs.
+
+Writers write a new file beside the target and rename it onto the path,
+so a field mapped from the old file keeps its bytes, even when it is
+written back to the path it was read from. If another program truncates
+or rewrites a mapped file in place while a field read from it is alive,
+the result is undefined: reading a page past the new end kills the
+process with SIGBUS.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -50,10 +62,7 @@ class ScoreField:
             s = s.astype(np.float64, copy=False)
         if s.ndim != 3:
             raise ValueError(f"scores must be 3-d (H, W, classes), got shape {s.shape}")
-        # NaN propagates through min/max and +-inf falls outside the range,
-        # so no whole-field mask is needed; min() raises on an empty field.
-        if s.size and not (s.min() >= 0.0 and s.max() <= 1.0):
-            raise ValueError("scores must lie in [0, 1]")
+        _check_unit_range(s)
         self.scores = s
 
     @property
@@ -73,6 +82,48 @@ class ScoreField:
             raise ValueError(
                 f"score field has {self.num_classes} classes, hierarchy has {len(h)}"
             )
+
+
+# The [0, 1] check reads this many bytes at a time, so at most this much
+# of a mapped field is resident at once while it runs. On a 2-core VM it
+# checked a 76 MB mapped field in 8-10 ms with 1, 2 or 4 MB chunks.
+CHECK_CHUNK_BYTES = 1 << 21
+
+
+def _check_unit_range(s: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every score lies in [0, 1]. A contiguous
+    array is read one ``CHECK_CHUNK_BYTES`` chunk at a time, and when it is
+    a read-only file mapping each chunk's pages are dropped after the
+    check: they are the file's, so a later read faults them in again."""
+    if not s.size:  # min() raises on an empty array
+        return
+    chunks = [s]
+    if s.flags.c_contiguous:
+        flat = s.reshape(-1)
+        step = CHECK_CHUNK_BYTES // s.itemsize
+        chunks = (flat[i:i + step] for i in range(0, flat.size, step))
+    mapping = _file_mapping(s)
+    for chunk in chunks:
+        # NaN propagates through min/max and +-inf falls outside the
+        # range, so no mask is needed.
+        if not (chunk.min() >= 0.0 and chunk.max() <= 1.0):
+            raise ValueError("scores must lie in [0, 1]")
+        if mapping is not None:
+            buf, start = mapping
+            first = chunk.ctypes.data - start
+            page = first - first % mmap.PAGESIZE
+            buf.madvise(mmap.MADV_DONTNEED, page, first + chunk.nbytes - page)
+
+
+def _file_mapping(a: np.ndarray) -> tuple[mmap.mmap, int] | None:
+    """The read-only ``mmap`` that ``a`` views and its start address, or
+    None. Only ``_read_payload`` maps memory read-only; ``shared_zeros``
+    output is writable and must keep its pages."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    if isinstance(a, memoryview) and a.readonly and isinstance(a.obj, mmap.mmap):
+        return a.obj, np.frombuffer(a, np.uint8).ctypes.data
+    return None
 
 
 @dataclass
@@ -113,10 +164,11 @@ class LabelField:
 
 
 def _read_payload(path, magic: bytes, ndim: int, dtype: str, kind: str) -> np.ndarray:
-    """The payload of a field file as one fresh array of the header's shape.
+    """The payload of a field file as a read-only array of the header's
+    shape, viewing a read-only map of the file.
 
     The file size is checked against the header before anything is
-    allocated, so a corrupt header cannot ask for more than the file holds.
+    mapped, so a corrupt header cannot ask for more than the file holds.
     """
     head_len = 4 + 4 * ndim
     with open(path, "rb") as f:
@@ -124,21 +176,40 @@ def _read_payload(path, magic: bytes, ndim: int, dtype: str, kind: str) -> np.nd
         if len(head) < head_len or head[:4] != magic:
             raise FieldFormatError(f"not a {kind} field file (bad magic)")
         shape = struct.unpack(f"<{ndim}I", head[4:])
-        expect = head_len + 4 * math.prod(shape)
+        count = math.prod(shape)
+        expect = head_len + 4 * count
         got = os.fstat(f.fileno()).st_size
         if got != expect:
             raise FieldFormatError(f"truncated {kind} field: expected {expect} bytes, got {got}")
-        data = np.empty(shape, dtype=dtype)
-        if f.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
-            raise FieldFormatError(f"truncated {kind} field: file shrank while reading")
-    return data
+        # A map starts on a page, so it covers the header too; the map
+        # keeps its own reference to the file after ``f`` is closed.
+        try:
+            buf = mmap.mmap(f.fileno(), expect, access=mmap.ACCESS_READ)
+        except ValueError:  # mmap checks the size again
+            raise FieldFormatError(f"truncated {kind} field: file shrank while mapping") from None
+    return np.frombuffer(buf, dtype=dtype, count=count, offset=head_len).reshape(shape)
+
+
+def _write_field(path, head: bytes, payload: np.ndarray) -> None:
+    """Write ``head`` and ``payload`` to a new file in ``path``'s directory,
+    then rename it onto ``path``: the old file, which a live field may
+    map, is never truncated. The new file gets the mode that
+    ``open(path, "wb")`` would give it."""
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as f:
+            f.write(head)
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_score_field(path, field: ScoreField) -> None:
-    with open(path, "wb") as f:
-        f.write(_SCORE_MAGIC)
-        f.write(struct.pack("<III", field.height, field.width, field.num_classes))
-        f.write(np.ascontiguousarray(field.scores, dtype="<f4"))
+    head = _SCORE_MAGIC + struct.pack("<III", field.height, field.width, field.num_classes)
+    _write_field(path, head, np.ascontiguousarray(field.scores, dtype="<f4"))
 
 
 def read_score_field(path) -> ScoreField:
@@ -146,10 +217,8 @@ def read_score_field(path) -> ScoreField:
 
 
 def write_label_field(path, field: LabelField) -> None:
-    with open(path, "wb") as f:
-        f.write(_LABEL_MAGIC)
-        f.write(struct.pack("<II", field.height, field.width))
-        f.write(np.ascontiguousarray(field.leaf, dtype="<u4"))
+    head = _LABEL_MAGIC + struct.pack("<II", field.height, field.width)
+    _write_field(path, head, np.ascontiguousarray(field.leaf, dtype="<u4"))
 
 
 def read_label_field(path) -> LabelField:

@@ -38,7 +38,9 @@ def write_run_json(path, report: TrainReport) -> None:
 def load_run_json(path) -> dict:
     """A saved run.json; ``ValueError`` names the first key that ``write_report_files``
     reads and the file lacks, the first curve that is not a list as long as ``losses``,
-    or the first ``level_miou`` entry without ``level``, a dict ``iou`` and ``miou``."""
+    or the first ``level_miou`` entry without ``level``, a dict ``iou`` and ``miou``,
+    with an ``iou`` key that is not an integer, or with an ``iou`` value or ``miou``
+    that is not a number. So ``write_report_files`` writes nothing for a bad file."""
     with open(path) as f:
         run = json.load(f)
     keys = ("losses", "betas", "triplet_losses", "level_miou", "violation_rate")
@@ -56,7 +58,22 @@ def load_run_json(path) -> dict:
                 raise ValueError(f"{path}: level_miou entry {i} lacks key {key!r}")
         if not isinstance(entry["iou"], dict):
             raise ValueError(f"{path}: level_miou entry {i}: 'iou' must be a dict")
+        for key, value in entry["iou"].items():
+            try:
+                int(key)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: level_miou entry {i}: 'iou' key {key!r} is not an integer"
+                ) from None
+            if not _is_number(value):
+                raise ValueError(f"{path}: level_miou entry {i}: 'iou' value for {key!r} must be a number")
+        if not _is_number(entry["miou"]):
+            raise ValueError(f"{path}: level_miou entry {i}: 'miou' must be a number")
     return run
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def write_report_files(artifacts: dict, out_dir) -> list[str]:

@@ -1,4 +1,9 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ class TestFieldFormats:
         write_score_field(path, field)
         back = read_score_field(path)
         assert np.array_equal(back.scores, field.scores)
+        assert not back.scores.flags.writeable
 
     def test_label_roundtrip(self, tmp_path):
         field = LabelField(np.array([[1, IGNORE], [2, 3]], dtype=np.uint32))
@@ -38,6 +44,7 @@ class TestFieldFormats:
         write_label_field(path, field)
         back = read_label_field(path)
         assert np.array_equal(back.leaf, field.leaf)
+        assert not back.leaf.flags.writeable
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.hssf"
@@ -51,11 +58,36 @@ class TestFieldFormats:
         with pytest.raises(FieldFormatError, match="truncated"):
             read_label_field(path)
 
+    def test_empty_fields_roundtrip(self, tmp_path):
+        write_score_field(tmp_path / "f.hssf", ScoreField(np.zeros((0, 3, 4), dtype=np.float32)))
+        write_label_field(tmp_path / "f.hslf", LabelField(np.zeros((2, 0), dtype=np.uint32)))
+        assert read_score_field(tmp_path / "f.hssf").scores.shape == (0, 3, 4)
+        assert read_label_field(tmp_path / "f.hslf").leaf.shape == (2, 0)
+
+    def test_a_file_that_shrinks_before_the_map_is_truncated(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.hslf"
+        write_label_field(path, LabelField(np.zeros((2, 2), dtype=np.uint32)))
+        real_fstat = os.fstat
+
+        def fstat_then_shrink(fd):
+            st = real_fstat(fd)
+            os.truncate(path, st.st_size - 4)
+            return st
+
+        monkeypatch.setattr(os, "fstat", fstat_then_shrink)
+        with pytest.raises(FieldFormatError, match="shrank while mapping"):
+            read_label_field(path)
+
     def test_score_range_validated(self):
-        for dtype in (np.float32, np.float64):
+        layouts = [
+            ((2, 3, 4), np.s_[:]),
+            ((2, 3, 4), np.s_[:, ::2]),  # not contiguous: checked in one piece
+            ((1, 512, 1025), np.s_[:]),  # more than one check chunk at either dtype
+        ]
+        for (shape, view), dtype in itertools.product(layouts, (np.float32, np.float64)):
             for bad in (np.nan, np.inf, -np.inf, 1.5, -0.1):
-                s = np.full((2, 3, 4), 0.5, dtype=dtype)
-                s[1, 2, 3] = bad
+                s = np.full(shape, 0.5, dtype=dtype)[view]
+                s[-1, -1, -1] = bad
                 with pytest.raises(ValueError, match="\\[0, 1\\]"):
                     ScoreField(s)
 
@@ -65,6 +97,67 @@ class TestFieldFormats:
         s[0, 0] = [0.0, 1.0, -0.0, 1.0]
         assert ScoreField(s).scores.dtype == dtype
         assert ScoreField(np.zeros((0, 3, 4), dtype=dtype)).scores.size == 0
+
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002])
+    def test_a_written_field_gets_the_mode_open_gives(self, tmp_path, umask):
+        """Writers replace the target with a new file; it gets the mode a
+        plain ``open(path, "wb")`` gives under the umask, and no temporary
+        file is left beside it."""
+        old = os.umask(umask)
+        try:
+            write_score_field(tmp_path / "f.hssf", ScoreField(np.zeros((1, 2, 3))))
+            write_label_field(tmp_path / "f.hslf", LabelField(np.zeros((1, 2), dtype=np.uint32)))
+            with open(tmp_path / "plain", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
+        assert modes == {name: modes["plain"] for name in ("f.hssf", "f.hslf", "plain")}
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path):
+        (tmp_path / "dir.hssf").mkdir()
+        with pytest.raises(OSError):
+            write_score_field(tmp_path / "dir.hssf", ScoreField(np.zeros((1, 2, 3))))
+        assert [p.name for p in tmp_path.iterdir()] == ["dir.hssf"]
+
+
+# Read a field, write a smaller one to the same path, then read the first
+# field's scores. Writing over the mapped file in place would end this
+# process with SIGBUS, so it runs in a child.
+REWRITE_CODE = """\
+import sys
+import numpy as np
+from hiertax.fields import ScoreField, read_score_field, write_score_field
+path = sys.argv[1]
+old = read_score_field(path)
+write_score_field(path, ScoreField(np.ones((1, 1, 3), dtype=np.float32)))
+print(repr(float(old.scores.sum(dtype=np.float64))), read_score_field(path).scores.shape)
+"""
+
+
+def test_rewriting_a_mapped_field_keeps_its_values(tmp_path):
+    scores = (np.arange(64 * 64 * 3, dtype=np.float32) % 5 / 4).reshape(64, 64, 3)
+    path = tmp_path / "f.hssf"
+    write_score_field(path, ScoreField(scores))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", REWRITE_CODE, str(path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split(maxsplit=1) == [repr(float(scores.sum(dtype=np.float64))), "(1, 1, 3)\n"]
+
+
+def test_propagate_onto_its_own_scores_file(tmp_path, tiny_tax_file, tiny):
+    """``propagate --scores p --out p`` writes what a fresh ``--out`` gets."""
+    rng = np.random.default_rng(2)
+    s_path, g_path = tmp_path / "s.hssf", tmp_path / "g.hslf"
+    write_score_field(s_path, ScoreField(rng.uniform(0, 1, size=(40, 30, len(tiny)))))
+    write_label_field(g_path, LabelField(rng.choice(tiny.leaves, size=(40, 30)).astype(np.uint32)))
+    fresh = tmp_path / "fresh.hssf"
+    for out in (fresh, s_path):
+        assert main(["propagate", "--tax", tiny_tax_file, "--scores", str(s_path),
+                     "--labels", str(g_path), "--out", str(out)]) == EXIT_OK
+    assert s_path.read_bytes() == fresh.read_bytes()
 
 
 class TestCli:
@@ -183,7 +276,16 @@ def _saved_run(tmp_path) -> dict:
     (lambda run: run["losses"].append(1.0), "'betas' must be a list as long as 'losses'"),
     (lambda run: run["level_miou"][0].pop("miou"), "level_miou entry 0 lacks key 'miou'"),
     (lambda run: run["level_miou"][1].update(iou=[0.5]), "level_miou entry 1: 'iou' must be a dict"),
-], ids=["no-betas", "long-losses", "entry-without-miou", "iou-not-a-dict"])
+    (lambda run: run["level_miou"][0].update(iou={"x": 0.5}),
+     "level_miou entry 0: 'iou' key 'x' is not an integer"),
+    (lambda run: run["level_miou"][1]["iou"].update({"1": "0.5"}),
+     "level_miou entry 1: 'iou' value for '1' must be a number"),
+    (lambda run: run["level_miou"][0]["iou"].update({"1": True}),
+     "level_miou entry 0: 'iou' value for '1' must be a number"),
+    (lambda run: run["level_miou"][1].update(miou=None), "level_miou entry 1: 'miou' must be a number"),
+    (lambda run: run["level_miou"][0].update(miou=False), "level_miou entry 0: 'miou' must be a number"),
+], ids=["no-betas", "long-losses", "entry-without-miou", "iou-not-a-dict", "iou-key-not-an-int",
+        "iou-value-a-string", "iou-value-a-bool", "miou-null", "miou-a-bool"])
 def test_report_rejects_a_malformed_run_json(tmp_path, capsys, edit, match):
     """A run.json without a key the report reads, with curves of different
     lengths, or with a malformed ``level_miou`` entry, fails validation

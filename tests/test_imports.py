@@ -1,5 +1,6 @@
 """Every name a library module imports is read somewhere in that module,
-and only ``coherence.block_workers`` forks, exits or waits for a process.
+only ``coherence.block_workers`` forks, exits or waits for a process, and
+only ``fields._read_payload`` and ``coherence.shared_zeros`` map memory.
 
 No linter ships with the project's toolchain, so this is the unused-import
 gate: ``__init__.py`` re-exports, and ``from __future__`` imports change the
@@ -92,3 +93,85 @@ def test_run_blocks_is_where_the_process_calls_are():
     found = process_calls((SRC / "coherence.py").read_text())
     assert {line.rsplit(".", 1)[1] for line in found} == PROCESS_CALLS
     assert process_calls((SRC / "coherence.py").read_text(), FORK_HELPER) == []
+
+
+# Memory maps that only two functions may make: ``fields._read_payload``
+# maps field files, which writers replace rather than truncate, and
+# ``coherence.shared_zeros`` maps anonymous memory for ``run_blocks``. A
+# second file reader could skip the replace-on-write contract and die of
+# SIGBUS when a field it maps is rewritten.
+MAP_HELPERS = {
+    "fields.py": {"_read_payload": "file"},
+    "coherence.py": {"shared_zeros": "anonymous"},
+}
+
+
+def map_calls(source: str) -> list[str]:
+    """Each memory map in ``source`` as ``"line N: <top-level name> <kind>"``:
+    ``np.memmap`` and ``mmap_mode=`` map a file, as does ``mmap.mmap`` on
+    any descriptor but a literal -1, which maps anonymous memory."""
+    tree = ast.parse(source)
+
+    def aliases(module: str, name: str) -> tuple[set, set]:
+        modules, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {a.asname or a.name for a in node.names if a.name == module}
+            elif isinstance(node, ast.ImportFrom) and node.module == module:
+                names |= {a.asname or a.name for a in node.names if a.name == name}
+        return modules, names
+
+    def is_map(func, module: tuple[set, set], name: str) -> bool:
+        modules, names = module
+        return (isinstance(func, ast.Attribute) and func.attr == name
+                and isinstance(func.value, ast.Name) and func.value.id in modules) or (
+            isinstance(func, ast.Name) and func.id in names)
+
+    numpy, mmap_ = aliases("numpy", "memmap"), aliases("mmap", "mmap")
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            kind = None
+            if is_map(node.func, mmap_, "mmap"):
+                fd = node.args[0] if node.args else next(
+                    (k.value for k in node.keywords if k.arg == "fileno"), None)
+                anonymous = isinstance(fd, ast.UnaryOp) and isinstance(fd.op, ast.USub) and (
+                    isinstance(fd.operand, ast.Constant) and fd.operand.value == 1)
+                kind = "anonymous" if anonymous else "file"
+            elif is_map(node.func, numpy, "memmap") or any(k.arg == "mmap_mode" for k in node.keywords):
+                kind = "file"
+            if kind:
+                found.append((node.lineno, f"line {node.lineno}: {owner} {kind}"))
+    return [line for _, line in sorted(found)]
+
+
+def test_gate_sees_memory_maps():
+    source = (
+        "import mmap as m\nimport numpy as np\nfrom mmap import mmap as mm\n"
+        "def shared_zeros():\n    return m.mmap(-1, 8)\n"
+        "def _read_payload(fd):\n    return mm(fd, 8, access=m.ACCESS_READ)\n"
+        "def other(path):\n    np.load(path, mmap_mode='r')\n    return np.memmap(path), m.mmap(fileno=-1, length=1)\n"
+        "view = np.memmap('f')\n"
+    )
+    assert map_calls(source) == [
+        "line 5: shared_zeros anonymous", "line 7: _read_payload file",
+        "line 9: other file", "line 10: other anonymous", "line 10: other file",
+        "line 11: <module> file",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_map_helpers_map_memory(path):
+    allowed = MAP_HELPERS.get(path.name, {})
+    for line in map_calls(path.read_text()):
+        _, _, owner, kind = line.split()
+        assert allowed.get(owner) == kind, line
+
+
+def test_the_map_helpers_are_where_the_maps_are():
+    found = {path.name: map_calls((SRC / path.name).read_text()) for path in MODULES}
+    made = {name: {line.split()[2] for line in lines} for name, lines in found.items() if lines}
+    assert made == {name: set(helpers) for name, helpers in MAP_HELPERS.items()}

@@ -9,6 +9,7 @@ in float32, and float32 input must give exactly the float64 results.
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from hiertax.coherence import (
     tree_extrema,
 )
 from hiertax.evaluation import decode_batch
+from hiertax.fields import CHECK_CHUNK_BYTES
 from hiertax.gradcheck import random_hierarchy
 from hiertax.losses import (
     FIELD_LOSSES,
@@ -440,3 +442,39 @@ def test_field_paths_peak_rss_is_inputs_plus_outputs():
     (100k, 145) field, counting the pages their forked workers add."""
     grown_mb, io_mb = _grown_and_io_mb(FIELD_RSS_CODE)
     assert grown_mb <= io_mb + FIELD_RSS_MARGIN_MB, (grown_mb, io_mb)
+
+
+READ_RSS_CODE = """\
+import json, sys
+from hiertax.fields import read_score_field
+base = peak_kb()
+field = read_score_field(sys.argv[1])
+print(json.dumps({"base_kb": base, "peak_kb": peak_kb()}))
+"""
+
+# Room above one check chunk for what the first read allocates beside it.
+# On the 76 MB field below, a 2 MB chunk grew VmHWM by 4.0 MB; reading
+# the payload into a fresh array grew it by 72.6 MB.
+READ_RSS_MARGIN_MB = 4
+
+
+def test_reading_a_field_does_not_make_it_resident(tmp_path):
+    """read_score_field maps the file and its [0, 1] check drops each
+    chunk's pages after reading them, so reading a 76 MB field leaves at
+    most about one chunk of it resident."""
+    height, width, classes = 256, 512, 145
+    path = tmp_path / "big.hssf"
+    row = np.full((width, classes), 0.5, dtype="<f4").tobytes()
+    with open(path, "wb") as f:
+        f.write(b"HSSF" + struct.pack("<III", height, width, classes))
+        for _ in range(height):
+            f.write(row)
+    assert path.stat().st_size >= 64 * 2**20
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_KB_CODE + READ_RSS_CODE, str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    grown_mb = (got["peak_kb"] - got["base_kb"]) / 1024
+    assert grown_mb <= CHECK_CHUNK_BYTES / 2**20 + READ_RSS_MARGIN_MB, grown_mb
