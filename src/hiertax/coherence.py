@@ -24,7 +24,8 @@ least one), which keeps temporaries small; results do not depend on N.
 
 The field paths (``propagate_field``, ``losses.field_loss`` and
 ``evaluation.decode_field``) hand their row blocks to ``run_blocks``, which
-runs contiguous ranges of them in forked children that write into
+calls their ``work`` once per block, the same in a child as in the caller.
+Contiguous ranges of blocks run in forked children that write into
 ``shared_zeros`` outputs, so a field is walked on every usable core.
 ``run_blocks`` is one round of ``block_workers``, the one place that forks,
 exits and reaps a process; ``training.train`` keeps its workers for every
@@ -180,8 +181,8 @@ def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -
     a float32 field is propagated one row block at a time into a float32
     copy with no loss. The blocks are split between ``run_blocks``
     workers, one per usable CPU with at least ``MIN_BLOCKS`` blocks each;
-    each copies its own rows into the output, which lives on
-    ``shared_zeros`` memory, then overwrites their valid pixels. The
+    each ``work`` call copies one block's rows into the output, which lives
+    on ``shared_zeros`` memory, then overwrites their valid pixels. The
     caller's peak RSS does not include the pages its workers touch.
     """
     blocks = field_blocks(h, scores, labels)
@@ -189,12 +190,12 @@ def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -
     flat_l = labels.leaf.reshape(-1)
     out = shared_zeros(flat_s.shape, flat_s.dtype)
 
-    def work(part: list) -> None:
-        for rows, valid in part:
-            out[rows] = flat_s[rows]
-            _check_ignored_rows(out[rows], valid)
-            ids = flat_l[rows][valid].astype(np.int64)
-            out[rows][valid] = propagate_batch(h, flat_s[rows][valid], ids)
+    def work(rows: slice) -> None:
+        valid = flat_l[rows] != IGNORE
+        out[rows] = flat_s[rows]
+        _check_ignored_rows(out[rows], valid)
+        ids = flat_l[rows][valid].astype(np.int64)
+        out[rows][valid] = propagate_batch(h, flat_s[rows][valid], ids)
 
     run_blocks(blocks, work)
     return ScoreField(scores=out.reshape(scores.scores.shape))
@@ -209,20 +210,16 @@ def row_blocks(h: ClassHierarchy, n: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def field_blocks(
-    h: ClassHierarchy, scores: ScoreField, labels: LabelField
-) -> list[tuple[slice, np.ndarray]]:
+def field_blocks(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -> list[slice]:
     """Check a score and a label field against ``h`` and each other, then
-    return their ``row_blocks`` as ``(rows, valid)`` pairs: a block's slice
-    of the flattened fields and its non-ignored pixels' mask. The checks
-    run before the caller reshapes or allocates.
+    return the ``row_blocks`` of their flattened pixels. The checks run
+    before the caller reshapes or allocates.
     """
     scores.check_hierarchy(h)
     labels.check_hierarchy(h)
     if (scores.height, scores.width) != (labels.height, labels.width):
         raise ValueError("score and label fields have mismatched dimensions")
-    valid = labels.leaf.reshape(-1) != IGNORE
-    return [(rows, valid[rows]) for rows in row_blocks(h, valid.size)]
+    return row_blocks(h, labels.leaf.size)
 
 
 def _check_ignored_rows(block: np.ndarray, valid: np.ndarray) -> None:
@@ -263,11 +260,11 @@ _in_worker = False
 
 @contextlib.contextmanager
 def block_workers(
-    blocks: list, work: Callable[[list], None], min_blocks: int = MIN_BLOCKS
+    blocks: list, work: Callable[..., None], min_blocks: int = MIN_BLOCKS
 ) -> Iterator[Callable[..., None]]:
     """Fork workers for contiguous ranges of ``blocks`` once, and yield
-    ``run_round(first=None)``, which calls ``work`` on every block each
-    time the caller calls it.
+    ``run_round(first=None)``, which calls ``work(block)`` once on every
+    block each time the caller calls it.
 
     There are ``min(usable CPUs, len(blocks) // min_blocks)`` workers, at
     least one. Each range but the first runs in a child made by ``os.fork``,
@@ -275,16 +272,16 @@ def block_workers(
     rounds for a 1-byte message on a pipe. The first range is the caller's:
     a round sends the messages, calls ``first()`` if given, then takes the
     caller's blocks one at a time from the front of a shared cursor
-    ``[lo, hi)``. A child that has finished its own range takes blocks from
-    the back of that cursor until the two ends meet, so the children cover
-    for the caller while it runs ``first``; children never take from each
-    other's ranges. A one-byte token on a pipe guards the cursor. With one
-    worker, inside a worker, without ``os.fork``, or when it raises
-    ``OSError``, the caller runs ``work`` on every block not given to a
-    child. A child's exception is raised by ``run_round`` with its type and
-    message, the first range's first. Every child is reaped when the block
-    ends: it leaves when its pipe reaches end of file, or is killed first
-    if the block ends by an exception.
+    ``[lo, hi)``. A child runs its own range block by block, then takes
+    blocks from the back of that cursor until the two ends meet, so the
+    children cover for the caller while it runs ``first``; children never
+    take from each other's ranges. A one-byte token on a pipe guards the
+    cursor. With one worker, inside a worker, without ``os.fork``, or when
+    it raises ``OSError``, the caller walks the cursor over every block not
+    given to a child. A child's exception is raised by ``run_round`` with
+    its type and message, the first range's first. Every child is reaped
+    when the block ends: it leaves when its pipe reaches end of file, or is
+    killed first if the block ends by an exception.
     """
     global _in_worker
     workers = 1
@@ -296,18 +293,20 @@ def block_workers(
     cursor = shared_zeros((2,), np.int64)  # [lo, hi): the caller's blocks not yet taken
     token = os.pipe() if cuts else ()  # (read end, write end)
 
-    def take(back: bool) -> list:
-        """The caller's next block as a 1-block list, from the back of the
-        cursor or its front, or [] once the two ends have met."""
-        os.read(token[0], 1)
+    def take(back: bool) -> int | None:
+        """The index of the caller's next block, from the back of the
+        cursor or its front, or None once the two ends have met. Without
+        cuts no other process shares the cursor, so no token is passed."""
+        if token:
+            os.read(token[0], 1)
         lo, hi = cursor.tolist()
         if lo < hi:
             cursor[:] = (lo, hi - 1) if back else (lo + 1, hi)
-        os.write(token[1], b"\0")
+        if token:
+            os.write(token[1], b"\0")
         if lo == hi:
-            return []
-        i = hi - 1 if back else lo
-        return blocks[i:i + 1]
+            return None
+        return hi - 1 if back else lo
 
     try:
         if token:
@@ -340,9 +339,10 @@ def block_workers(
                         os.close(fd)
                     while os.read(cmd_r, 1):
                         try:
-                            work(blocks[lo:mine])
-                            while part := take(back=True):
-                                work(part)
+                            for block in blocks[lo:mine]:
+                                work(block)
+                            while (i := take(back=True)) is not None:
+                                work(blocks[i])
                         except BaseException as exc:
                             with os.fdopen(reply_w, "wb") as pipe:
                                 pipe.write(b"\1" + pickle.dumps(exc))
@@ -365,11 +365,8 @@ def block_workers(
                 os.write(cmd, b"\1")
             if first is not None:
                 first()
-            if not kids:
-                work(blocks[:mine])
-            else:
-                while part := take(back=False):
-                    work(part)
+            while (i := take(back=False)) is not None:
+                work(blocks[i])
             for pid, _, reply in reversed(kids):  # first range first
                 if os.read(reply, 1) == b"\0":
                     continue
@@ -398,8 +395,8 @@ def block_workers(
             raise ChildProcessError(f"worker {pid} ended with exit code {code}")
 
 
-def run_blocks(blocks: list, work: Callable[[list], None]) -> None:
-    """Call ``work`` once on contiguous ranges of ``blocks``: one round of
+def run_blocks(blocks: list, work: Callable[..., None]) -> None:
+    """Call ``work(block)`` once on each of ``blocks``: one round of
     ``block_workers``, with at least ``MIN_BLOCKS`` blocks per worker."""
     with block_workers(blocks, work) as run_round:
         run_round()

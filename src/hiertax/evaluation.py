@@ -64,18 +64,15 @@ def decode_field(h: ClassHierarchy, scores: ScoreField) -> LabelField:
     """Per-pixel best-path decode over a whole score field.
 
     The row blocks are split between ``coherence.run_blocks`` workers, one
-    per usable CPU with at least ``MIN_BLOCKS`` blocks each; each decodes
-    its own rows into a ``shared_zeros`` label array. The caller's peak
-    RSS does not include the pages its workers touch.
+    per usable CPU with at least ``MIN_BLOCKS`` blocks each; each ``work``
+    call decodes one block's rows into a ``shared_zeros`` label array. The
+    caller's peak RSS does not include the pages its workers touch.
     """
     scores.check_hierarchy(h)
     flat = scores.scores.reshape(-1, len(h))
     leaves = shared_zeros((len(flat),), np.uint32)
 
-    def work(part: list) -> None:
-        # A range starts on a block boundary, so decode_batch walks the
-        # same blocks it would walk over the whole field.
-        rows = slice(part[0].start, part[-1].stop) if part else slice(0, 0)
+    def work(rows: slice) -> None:
         leaves[rows] = decode_batch(h, flat[rows])
 
     run_blocks(row_blocks(h, len(flat)), work)

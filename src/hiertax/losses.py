@@ -207,6 +207,11 @@ def focal_tree_min_loss(
 FIELD_LOSSES = LOSSES[1:]
 
 
+def _check_field_loss(which: str) -> None:
+    if which not in FIELD_LOSSES:
+        raise ValueError(f"unknown field loss {which!r}; expected one of {FIELD_LOSSES}")
+
+
 def batch_loss(
     h: ClassHierarchy,
     s: np.ndarray,
@@ -223,8 +228,7 @@ def batch_loss(
     score raises ``ValueError``.
     """
     cfg = cfg or FocalConfig()
-    if which not in FIELD_LOSSES:
-        raise ValueError(f"unknown field loss {which!r}; expected one of {FIELD_LOSSES}")
+    _check_field_loss(which)
     s = _dp_scores(h, s)
     leaf_ids = np.asarray(leaf_ids)
     n = len(s)
@@ -284,16 +288,17 @@ def field_loss(
 ) -> tuple[float, np.ndarray]:
     """Mean per-pixel loss over non-ignored pixels plus the float64
     gradient field. A NaN score raises ``ValueError``, at an ignored pixel
-    too.
+    too, and a ``which`` outside ``FIELD_LOSSES`` before anything else.
 
-    ``batch_loss`` runs on one row block's valid pixels at a time. The
-    blocks are split between ``coherence.run_blocks`` workers, one per
+    ``batch_loss`` runs on one row block's valid pixels per ``work`` call.
+    The blocks are split between ``coherence.run_blocks`` workers, one per
     usable CPU with at least ``MIN_BLOCKS`` blocks each, which write the
     gradient and each valid pixel's value at its pixel into ``shared_zeros``
     memory; the valid values are summed once, in pixel order, after every
     worker has ended. The caller's peak RSS does not include the pages its
     workers touch.
     """
+    _check_field_loss(which)
     blocks = field_blocks(h, scores, gt)
     flat_s = scores.scores.reshape(-1, len(h))
     flat_l = gt.leaf.reshape(-1)
@@ -302,13 +307,13 @@ def field_loss(
     grad = shared_zeros(flat_s.shape, np.float64)
     values = shared_zeros(flat_l.shape, np.float64)  # each at its own pixel
 
-    def work(part: list) -> None:
-        for rows, ok in part:
-            _check_ignored_rows(flat_s[rows], ok)
-            ids = flat_l[rows][ok].astype(np.int64)
-            v, g = batch_loss(h, flat_s[rows][ok], ids, which, cfg)
-            values[rows][ok] = v
-            grad[rows][ok] = g / n
+    def work(rows: slice) -> None:
+        ok = valid[rows]
+        _check_ignored_rows(flat_s[rows], ok)
+        ids = flat_l[rows][ok].astype(np.int64)
+        v, g = batch_loss(h, flat_s[rows][ok], ids, which, cfg)
+        values[rows][ok] = v
+        grad[rows][ok] = g / n
 
     run_blocks(blocks, work)
     return float(values[valid].sum() / max(n, 1)), grad.reshape(scores.scores.shape)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from dataclasses import asdict
 
 from .training import TrainReport
@@ -38,9 +39,11 @@ def write_run_json(path, report: TrainReport) -> None:
 def load_run_json(path) -> dict:
     """A saved run.json; ``ValueError`` names the first key that ``write_report_files``
     reads and the file lacks, the first curve that is not a list as long as ``losses``,
-    or the first ``level_miou`` entry without ``level``, a dict ``iou`` and ``miou``,
-    with an ``iou`` key that is not an integer, or with an ``iou`` value or ``miou``
-    that is not a number. So ``write_report_files`` writes nothing for a bad file."""
+    the first curve entry or a ``violation_rate`` that is not a number, or the first
+    ``level_miou`` entry without an integer ``level``, a dict ``iou`` and ``miou``, with
+    an ``iou`` key that is not an integer, or with an ``iou`` value or ``miou`` that is
+    not a number. A number is a finite int or float, not a bool. So
+    ``write_report_files`` writes nothing for a bad file."""
     with open(path) as f:
         run = json.load(f)
     keys = ("losses", "betas", "triplet_losses", "level_miou", "violation_rate")
@@ -50,30 +53,37 @@ def load_run_json(path) -> dict:
     for key in keys[:3]:
         if not isinstance(run[key], list) or len(run[key]) != len(run["losses"]):
             raise ValueError(f"{path}: {key!r} must be a list as long as 'losses'")
+        for j, value in enumerate(run[key]):
+            if not _is_number(value):
+                raise ValueError(f"{path}: {key!r} entry {j} must be a number")
+    if not _is_number(run["violation_rate"]):
+        raise ValueError(f"{path}: 'violation_rate' must be a number")
     if not isinstance(run["level_miou"], list):
         raise ValueError(f"{path}: 'level_miou' must be a list")
     for i, entry in enumerate(run["level_miou"]):
+        where = f"{path}: level_miou entry {i}"
         for key in ("level", "iou", "miou"):
             if not isinstance(entry, dict) or key not in entry:
-                raise ValueError(f"{path}: level_miou entry {i} lacks key {key!r}")
+                raise ValueError(f"{where} lacks key {key!r}")
         if not isinstance(entry["iou"], dict):
-            raise ValueError(f"{path}: level_miou entry {i}: 'iou' must be a dict")
+            raise ValueError(f"{where}: 'iou' must be a dict")
+        if type(entry["level"]) is not int:
+            raise ValueError(f"{where}: 'level' must be an integer")
         for key, value in entry["iou"].items():
             try:
                 int(key)
             except ValueError:
-                raise ValueError(
-                    f"{path}: level_miou entry {i}: 'iou' key {key!r} is not an integer"
-                ) from None
+                raise ValueError(f"{where}: 'iou' key {key!r} is not an integer") from None
             if not _is_number(value):
-                raise ValueError(f"{path}: level_miou entry {i}: 'iou' value for {key!r} must be a number")
+                raise ValueError(f"{where}: 'iou' value for {key!r} must be a number")
         if not _is_number(entry["miou"]):
-            raise ValueError(f"{path}: level_miou entry {i}: 'miou' must be a number")
+            raise ValueError(f"{where}: 'miou' must be a number")
     return run
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float, not a bool, with a float's finite range (so not NaN)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def write_report_files(artifacts: dict, out_dir) -> list[str]:

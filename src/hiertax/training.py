@@ -9,16 +9,18 @@ deterministic for a fixed seed.
 ``train`` and ``run_toy`` hold OpenBLAS's thread pool at one thread while
 they run, so the bits of every reduction over pixels that BLAS computes do
 not depend on the pool's size. Each step, ``train``'s
-``coherence.block_workers`` run the whole step on fixed row blocks, for
-every loss: ``x @ W`` plus the bias, ``losses.cce_rows`` or the sigmoid,
-``losses.block_loss`` and the chain rule, and the block's own shares of the
-weight and bias gradients. The caller makes no product over all rows; it
-sums the blocks' shares in block order, so every output bit depends on the
-tree and the row count, not on the worker count. With ``use_triplet``, the
-caller runs the projection head's step first in each round, while workers
-that have finished their own ranges take row blocks from the back of the
-caller's. A head whose embeddings overflow float64 ends the run with
-``TrainingDivergedError``.
+``coherence.block_workers`` run the whole step on fixed row blocks, one
+block per call, for every loss: ``x @ W`` plus the bias, ``losses.cce_rows``
+or the sigmoid, ``losses.block_loss`` and the chain rule, and the block's
+own shares of the weight and bias gradients. The blocks read the scorer in
+place: its weight and bias live on ``coherence.shared_zeros`` memory, and
+the SGD step updates them in place between rounds. The caller makes no
+product over all rows; it sums the blocks' shares in block order, so every
+output bit depends on the tree and the row count, not on the worker count.
+With ``use_triplet``, the caller runs the projection head's step first in
+each round, while workers that have finished their own ranges take row
+blocks from the back of the caller's. A head whose embeddings overflow
+float64 ends the run with ``TrainingDivergedError``.
 """
 
 from __future__ import annotations
@@ -127,12 +129,13 @@ class TrainReport:
 
 
 def _sgd_step(params, vel: dict, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
-    """Momentum SGD with weight decay on the named arrays of ``params``:
-    ``v = m*v + (g + wd*p); p = p - lr*v``, each velocity starting at 0."""
+    """Momentum SGD with weight decay on the named arrays of ``params``,
+    in place: ``v = m*v + (g + wd*p); p -= lr*v``, each velocity starting
+    at 0."""
     for name, g in grads.items():
-        v = cfg.momentum * vel.get(name, 0.0) + (g + cfg.weight_decay * getattr(params, name))
-        vel[name] = v
-        setattr(params, name, getattr(params, name) - cfg.lr * v)
+        p = getattr(params, name)
+        vel[name] = v = cfg.momentum * vel.get(name, 0.0) + (g + cfg.weight_decay * p)
+        p -= cfg.lr * v
 
 
 @functools.cache
@@ -188,11 +191,12 @@ def train(
     pool held at one thread, the step runs on ``min(usable CPUs, row
     blocks)`` workers, forked once per run, for every loss; otherwise, and
     inside a worker, in the caller. Each of the ``row_blocks(h, n)`` blocks
-    writes its shares of the weight and bias gradients into slots allocated
-    once per run: blocks x c x |V| x 8 bytes, e.g. 21.6 KB for 16k pixels,
-    16 features and 13 nodes, or 16.5 MB for 12,400 pixels, 128 features
-    and 145 nodes. A non-finite segmentation or triplet loss raises
-    ``TrainingDivergedError`` naming its step.
+    is one ``rows_step`` call, which reads the scorer's shared weight and
+    bias in place and writes its shares of the weight and bias gradients
+    into slots allocated once per run: blocks x c x |V| x 8 bytes, e.g.
+    21.6 KB for 16k pixels, 16 features and 13 nodes, or 16.5 MB for
+    12,400 pixels, 128 features and 145 nodes. A non-finite segmentation or
+    triplet loss raises ``TrainingDivergedError`` naming its step.
     """
     x = np.asarray(features, dtype=np.float64).reshape(-1, features.shape[-1])
     leaf_ids = labels.leaf.reshape(-1).astype(np.int64)
@@ -201,10 +205,9 @@ def train(
     if leaf_ids.size != n:
         raise ValueError(f"expected {n} labels, one per feature row, got {leaf_ids.size}")
     rng = np.random.default_rng(cfg.seed)
-    scorer = ToyScorer(
-        weight=rng.normal(0.0, 0.01, size=(c, len(h))),
-        bias=np.zeros(len(h)),
-    )
+    # On shared memory and updated in place, so the workers read the live scorer.
+    scorer = ToyScorer(shared_zeros((c, len(h)), np.float64), shared_zeros((len(h),), np.float64))
+    scorer.weight[:] = rng.normal(0.0, 0.01, size=(c, len(h)))
     scorer_vel: dict[str, np.ndarray] = {}
     focal = FocalConfig(gamma=cfg.gamma)
 
@@ -217,32 +220,30 @@ def train(
     betas: list[float] = []
     triplet_losses: list[float] = []
 
-    # The step's scorer, logits, per-row loss values and logit gradient, and
-    # each row block's own slot of the weight and bias gradients, on memory
-    # the workers share. A block writes only its own rows and slots.
+    # The step's logits, per-row loss values and logit gradient, and each
+    # row block's own slot of the weight and bias gradients, on memory the
+    # workers share. A block writes only its own rows and slots.
     blocks = list(enumerate(row_blocks(h, n)))
     logits = shared_zeros((n, len(h)), np.float64)
-    weight = shared_zeros((c, len(h)), np.float64)
-    bias = shared_zeros((len(h),), np.float64)
     row_values = shared_zeros((n,), np.float64)
     row_grads = shared_zeros((n, len(h)), np.float64)
     weight_parts = shared_zeros((len(blocks), c, len(h)), np.float64)
     bias_parts = shared_zeros((len(blocks), len(h)), np.float64)
 
-    def rows_step(part: list[tuple[int, slice]]) -> None:
+    def rows_step(block: tuple[int, slice]) -> None:
         # The labels were checked before the first step.
-        for i, rows in part:
-            z = np.matmul(x[rows], weight, out=logits[rows])
-            z += bias
-            if cfg.loss == "cce":
-                row_values[rows] = cce_rows(h, z, h.leaf_index[leaf_ids[rows]], n, row_grads[rows])
-            else:
-                s = 1.0 / (1.0 + np.exp(-z))
-                pos = h.ancestor_mask[leaf_ids[rows]]
-                row_values[rows], dvds = block_loss(h, s, pos, cfg.loss, focal)
-                np.multiply((dvds / n) * s, 1.0 - s, out=row_grads[rows])
-            np.matmul(x[rows].T, row_grads[rows], out=weight_parts[i])
-            np.sum(row_grads[rows], axis=0, out=bias_parts[i])
+        i, rows = block
+        z = np.matmul(x[rows], scorer.weight, out=logits[rows])
+        z += scorer.bias
+        if cfg.loss == "cce":
+            row_values[rows] = cce_rows(h, z, h.leaf_index[leaf_ids[rows]], n, row_grads[rows])
+        else:
+            s = 1.0 / (1.0 + np.exp(-z))
+            pos = h.ancestor_mask[leaf_ids[rows]]
+            row_values[rows], dvds = block_loss(h, s, pos, cfg.loss, focal)
+            np.multiply((dvds / n) * s, 1.0 - s, out=row_grads[rows])
+        np.matmul(x[rows].T, row_grads[rows], out=weight_parts[i])
+        np.sum(row_grads[rows], axis=0, out=bias_parts[i])
 
     beta = tt_value = 0.0
 
@@ -263,8 +264,6 @@ def train(
         with block_workers(blocks, rows_step, 1 if held else len(blocks) + 1) as step_rows:
             for step in range(cfg.iterations):
                 beta = cfg.beta(step) if proj is not None else 0.0
-                weight[:] = scorer.weight
-                bias[:] = scorer.bias
                 try:
                     step_rows(first)
                 except Exception:

@@ -245,14 +245,34 @@ def test_a_failed_fork_gives_the_serial_result(monkeypatch, children):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_run_blocks_calls_work_once_on_each_block_itself(monkeypatch, cpus):
+    """Not on a list or range of blocks: on each object of ``blocks``, in a
+    child as in the caller. A forked child holds the caller's objects at
+    their addresses, so ``id`` names them in every process."""
+    use_cpus(monkeypatch, cpus)
+    pids = counted_forks(monkeypatch)
+    blocks = [object() for _ in range(3 * MIN_BLOCKS)]
+    index = {id(b): i for i, b in enumerate(blocks)}
+    calls = shared_zeros((len(blocks),), np.int64)
+
+    def work(block):
+        calls[index[id(block)]] += 1
+
+    run_blocks(blocks, work)
+    assert len(pids) == cpus - 1
+    assert calls.tolist() == [1] * len(blocks)
+    assert_no_child_left()
+
+
 def test_a_workers_exception_reaches_the_caller(monkeypatch):
     """The same type and message, from the first failing range. Each child
     raises on its own range before it could take a block of the caller's."""
     use_cpus(monkeypatch, 3)
 
-    def work(part):
+    def work(block):
         if coherence._in_worker:
-            raise LookupError(f"range from block {part[0]}")
+            raise LookupError(f"range from block {block}")
 
     with pytest.raises(LookupError) as raised:
         run_blocks(list(range(3 * MIN_BLOCKS)), work)
@@ -311,8 +331,8 @@ def test_a_nan_at_an_ignored_pixel_raises_in_its_worker(monkeypatch, cpus):
 def test_a_failure_in_the_callers_range_kills_its_workers(monkeypatch):
     use_cpus(monkeypatch, 3)
 
-    def work(part):
-        if not part[0]:
+    def work(block):
+        if not block:
             raise LookupError("the caller's range")
         time.sleep(60)
 
@@ -332,10 +352,9 @@ def test_the_children_run_the_callers_range_while_first_runs(monkeypatch):
     out = shared_zeros((len(blocks),), np.int64)
     ran_in = shared_zeros((len(blocks),), np.int64)  # the pid that ran each block
 
-    def work(part):
-        for b in part:
-            out[b] = b * b + 1
-            ran_in[b] = os.getpid()
+    def work(b):
+        out[b] = b * b + 1
+        ran_in[b] = os.getpid()
 
     def first():
         deadline = time.monotonic() + 10
@@ -361,12 +380,11 @@ def test_every_block_runs_once_a_round_with_more_workers_than_cores(monkeypatch)
     runs = shared_zeros((len(blocks),), np.int64)
     rounds = 40
 
-    def work(part):
-        for b in part:
-            runs[b] += 1
-            end = time.perf_counter() + 5e-5
-            while time.perf_counter() < end:
-                pass
+    def work(b):
+        runs[b] += 1
+        end = time.perf_counter() + 5e-5
+        while time.perf_counter() < end:
+            pass
 
     start = time.monotonic()
     with block_workers(blocks, work, min_blocks=1) as run_round:
@@ -384,10 +402,10 @@ def test_an_exception_in_a_taken_block_reaches_the_caller(monkeypatch):
     use_cpus(monkeypatch, 2)
     taken = shared_zeros((1,), np.int64)
 
-    def work(part):
-        if coherence._in_worker and part[0] < MIN_BLOCKS:
+    def work(block):
+        if coherence._in_worker and block < MIN_BLOCKS:
             taken[0] = 1
-            raise LookupError(f"taken block {part[0]}")
+            raise LookupError(f"taken block {block}")
 
     def first():
         deadline = time.monotonic() + 10
@@ -406,7 +424,7 @@ def test_an_exception_in_a_taken_block_reaches_the_caller(monkeypatch):
 def test_an_exception_in_first_kills_the_children(monkeypatch):
     use_cpus(monkeypatch, 3)
 
-    def work(part):
+    def work(block):
         if coherence._in_worker:
             time.sleep(60)
 
@@ -428,7 +446,7 @@ def test_block_workers_closes_every_descriptor_it_opens(monkeypatch, raising):
     success, a child's raise and a raise in ``first``."""
     use_cpus(monkeypatch, 3)
 
-    def work(part):
+    def work(block):
         if raising == "a child" and coherence._in_worker:
             raise LookupError(raising)
 
@@ -442,6 +460,21 @@ def test_block_workers_closes_every_descriptor_it_opens(monkeypatch, raising):
             run_round(first)
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert_no_child_left()
+
+
+def test_field_loss_rejects_an_unknown_loss_before_it_forks(monkeypatch, tiny):
+    """On an empty field no block reaches ``batch_loss``'s check, and on a
+    full one the check comes before the gradient and the workers."""
+    empty = ScoreField(np.zeros((0, 3, 5), np.float32)), LabelField(np.zeros((0, 3), np.uint32))
+    h, scores, labels = _mapillary_case(np.float32)
+    use_cpus(monkeypatch, 3)
+    pids = counted_forks(monkeypatch)
+    for hier, (s, lab) in ((tiny, empty), (h, (scores, labels))):
+        with pytest.raises(ValueError, match="^unknown field loss 'nonsense'; expected one of"):
+            field_loss(hier, s, lab, "nonsense")
+        with pytest.raises(ValueError, match="^unknown field loss 'cce'; expected one of"):
+            field_loss(hier, s, lab, "cce")
+    assert pids == []
 
 
 def test_an_empty_field_gives_empty_outputs(tiny):

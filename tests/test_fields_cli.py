@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -284,11 +285,25 @@ def _saved_run(tmp_path) -> dict:
      "level_miou entry 0: 'iou' value for '1' must be a number"),
     (lambda run: run["level_miou"][1].update(miou=None), "level_miou entry 1: 'miou' must be a number"),
     (lambda run: run["level_miou"][0].update(miou=False), "level_miou entry 0: 'miou' must be a number"),
+    (lambda run: run["losses"].__setitem__(0, "a"), "'losses' entry 0 must be a number"),
+    (lambda run: run["losses"].__setitem__(1, math.nan), "'losses' entry 1 must be a number"),
+    (lambda run: run["betas"].__setitem__(2, -math.inf), "'betas' entry 2 must be a number"),
+    (lambda run: run["triplet_losses"].__setitem__(0, True), "'triplet_losses' entry 0 must be a number"),
+    (lambda run: run.update(violation_rate="x"), "'violation_rate' must be a number"),
+    (lambda run: run.update(violation_rate=math.inf), "'violation_rate' must be a number"),
+    (lambda run: run["level_miou"][0].update(level="one"), "level_miou entry 0: 'level' must be an integer"),
+    (lambda run: run["level_miou"][1].update(level=2.0), "level_miou entry 1: 'level' must be an integer"),
+    (lambda run: run["level_miou"][1]["iou"].update({"1": math.nan}),
+     "level_miou entry 1: 'iou' value for '1' must be a number"),
+    (lambda run: run["level_miou"][0].update(miou=math.inf), "level_miou entry 0: 'miou' must be a number"),
 ], ids=["no-betas", "long-losses", "entry-without-miou", "iou-not-a-dict", "iou-key-not-an-int",
-        "iou-value-a-string", "iou-value-a-bool", "miou-null", "miou-a-bool"])
+        "iou-value-a-string", "iou-value-a-bool", "miou-null", "miou-a-bool", "loss-a-string",
+        "loss-nan", "beta-minus-inf", "triplet-loss-a-bool", "violation-rate-a-string",
+        "violation-rate-inf", "level-a-string", "level-a-float", "iou-value-nan", "miou-inf"])
 def test_report_rejects_a_malformed_run_json(tmp_path, capsys, edit, match):
     """A run.json without a key the report reads, with curves of different
-    lengths, or with a malformed ``level_miou`` entry, fails validation
+    lengths, with a curve entry or violation rate that is not a finite
+    number, or with a malformed ``level_miou`` entry, fails validation
     before any file is written."""
     run = _saved_run(tmp_path)
     edit(run)

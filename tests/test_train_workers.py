@@ -10,6 +10,7 @@ fork on a one-CPU machine too.
 
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +20,11 @@ import pytest
 
 from hiertax import coherence, training
 from hiertax.coherence import MIN_BLOCKS, row_blocks, run_blocks, shared_zeros
+from hiertax.embedding import init_projection
 from hiertax.losses import LOSSES
 from hiertax.report import run_artifacts, write_report_files, write_run_json
 from hiertax.synthetic import SyntheticConfig, generate_synthetic
+from hiertax.taxonomy import load_taxonomy
 from hiertax.training import TrainConfig, TrainingDivergedError, run_toy, train
 
 import reference
@@ -207,7 +210,7 @@ def test_a_train_inside_a_worker_runs_serially(monkeypatch, three_level):
     got = shared_zeros(want.shape, np.float64)
     forks = shared_zeros((1,), np.int64)
 
-    def work(part):
+    def work(block):
         if coherence._in_worker:
             before = len(pids)  # this list is the worker's own copy
             got[...] = train(features, labels, three_level, cfg).scorer.weight
@@ -218,6 +221,33 @@ def test_a_train_inside_a_worker_runs_serially(monkeypatch, three_level):
     assert forks[0] == 0
     assert got.tobytes() == want.tobytes()
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("kind", ["scorer", "projection"])
+def test_sgd_step_updates_each_parameter_in_place(kind):
+    """Each parameter keeps its array object, which ``train``'s workers
+    read, and its bits are those of ``p - lr * (m * v + (g + wd * p))``
+    computed apart, over two steps."""
+    rng = np.random.default_rng(4)
+    if kind == "scorer":
+        params = training.ToyScorer(weight=rng.normal(size=(5, 3)), bias=rng.normal(size=3))
+    else:
+        params = init_projection(4, out_dim=3, rng=rng)
+    cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.01)
+    arrays = dict(vars(params))
+    want = {name: p.copy() for name, p in arrays.items()}
+    velocity = dict.fromkeys(arrays, 0.0)
+    vel = {}
+    for _ in range(2):
+        grads = {name: rng.normal(size=p.shape) for name, p in arrays.items()}
+        for name, g in grads.items():
+            p = want[name]
+            velocity[name] = cfg.momentum * velocity[name] + (g + cfg.weight_decay * p)
+            want[name] = p - cfg.lr * velocity[name]
+        training._sgd_step(params, vel, grads, cfg)
+        for name, p in arrays.items():
+            assert getattr(params, name) is p
+            assert p.tobytes() == want[name].tobytes()
 
 
 def _blas_pool():
@@ -310,6 +340,23 @@ def test_report_bytes_prints_one_digest_per_report_file(tmp_path):
     assert files == tuple(f"{name}/{f}" for f in REPORT_FILES)
     for digest, f in zip(digests, REPORT_FILES):
         assert digest == hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+
+
+@pytest.mark.skipif(
+    platform.machine() != "x86_64" or np.__version__ != "2.4.6",
+    reason="the committed digests hold for the build their file names: x86_64, numpy 2.4.6",
+)
+def test_a_forking_config_replays_its_committed_report_digests(tmp_path):
+    """``cityscapes ftm --use-triplet`` has four row blocks at 100 px/class,
+    so on two or more CPUs its steps fork and run the triplet step as
+    ``first``; its report files must keep the committed digests."""
+    name = "cityscapes ftm --use-triplet"
+    h = load_taxonomy(os.path.join(TAX_DIR, "cityscapes.tax"))
+    assert len(row_blocks(h, 100 * len(h.leaves))) == 4
+    args = dict(report_bytes.configs())[name]
+    lines = report_bytes.report_digests(SRC, name, args, tmp_path / "out")
+    committed = Path(report_bytes.__file__).with_name("report_digests.txt").read_text()
+    assert lines == [line for line in committed.splitlines() if f"  {name}/" in line]
 
 
 def test_report_bytes_check_prints_only_the_lines_that_differ(tmp_path):
