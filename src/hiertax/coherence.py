@@ -48,7 +48,7 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .fields import IGNORE, LabelField, ScoreField
+from .fields import IGNORE, LabelField, ScoreField, page_dropper
 from .taxonomy import ClassHierarchy
 
 
@@ -183,12 +183,16 @@ def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -
     workers, one per usable CPU with at least ``MIN_BLOCKS`` blocks each;
     each ``work`` call copies one block's rows into the output, which lives
     on ``shared_zeros`` memory, then overwrites their valid pixels. The
-    caller's peak RSS does not include the pages its workers touch.
+    caller's peak RSS does not include the pages its workers touch. When
+    the scores are mapped from a file, each process gives back the pages
+    of the rows it has run through ``fields.page_dropper``, so about one
+    ``CHECK_CHUNK_BYTES`` span of them is resident in it at once.
     """
     blocks = field_blocks(h, scores, labels)
     flat_s = scores.scores.reshape(-1, len(h))
     flat_l = labels.leaf.reshape(-1)
     out = shared_zeros(flat_s.shape, flat_s.dtype)
+    ran = page_dropper(flat_s)
 
     def work(rows: slice) -> None:
         valid = flat_l[rows] != IGNORE
@@ -196,8 +200,10 @@ def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -
         _check_ignored_rows(out[rows], valid)
         ids = flat_l[rows][valid].astype(np.int64)
         out[rows][valid] = propagate_batch(h, flat_s[rows][valid], ids)
+        ran(rows)
 
     run_blocks(blocks, work)
+    ran()
     return ScoreField(scores=out.reshape(scores.scores.shape))
 
 

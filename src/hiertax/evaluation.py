@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _check_scores, row_blocks, run_blocks, shared_zeros, sibling_max
-from .fields import LabelField, ScoreField
+from .fields import LabelField, ScoreField, page_dropper
 from .taxonomy import ClassHierarchy
 
 
@@ -66,16 +66,22 @@ def decode_field(h: ClassHierarchy, scores: ScoreField) -> LabelField:
     The row blocks are split between ``coherence.run_blocks`` workers, one
     per usable CPU with at least ``MIN_BLOCKS`` blocks each; each ``work``
     call decodes one block's rows into a ``shared_zeros`` label array. The
-    caller's peak RSS does not include the pages its workers touch.
+    caller's peak RSS does not include the pages its workers touch. When
+    the scores are mapped from a file, each process gives back the pages
+    of the rows it has run through ``fields.page_dropper``, so about one
+    ``CHECK_CHUNK_BYTES`` span of them is resident in it at once.
     """
     scores.check_hierarchy(h)
     flat = scores.scores.reshape(-1, len(h))
     leaves = shared_zeros((len(flat),), np.uint32)
+    ran = page_dropper(flat)
 
     def work(rows: slice) -> None:
         leaves[rows] = decode_batch(h, flat[rows])
+        ran(rows)
 
     run_blocks(row_blocks(h, len(flat)), work)
+    ran()
     return LabelField(leaf=leaves.reshape(scores.height, scores.width))
 
 

@@ -13,12 +13,16 @@ file stays in the file's precision and is never widened as a whole; any
 other dtype is converted to float64. Readers check the header against the
 file size, then map the file read-only and view its payload in place: no
 copy is made, and a process holds only the pages it reads. So a field
-read from a file is read-only. ``ScoreField``'s [0, 1] check reads a
-mapped field one chunk at a time and drops each chunk's pages after it,
-so reading a field does not make it resident. The field paths
-(``propagate_field``, ``field_loss``, ``decode_field``) widen one row
-block at a time, so their temporaries are block-sized whatever the field,
-and each of their processes faults in only the rows it runs.
+read from a file is read-only. Pages of a mapped score field are given
+back after use by ``page_dropper``, the one place that drops pages:
+``ScoreField``'s [0, 1] check reads a mapped field one chunk at a time and
+drops each chunk's pages after it, so reading a field does not make it
+resident. The field paths (``propagate_field``, ``field_loss``,
+``decode_field``) widen one row block at a time, so their temporaries are
+block-sized whatever the field; each of their processes faults in only
+the rows it runs and drops them in spans of ``CHECK_CHUNK_BYTES``, so
+about one span of the input is resident in a process at once. Their
+outputs are still whole arrays.
 
 Writers write a new file beside the target and rename it onto the path,
 so a field mapped from the old file keeps its bytes, even when it is
@@ -34,6 +38,8 @@ import math
 import mmap
 import os
 import struct
+import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,46 +90,104 @@ class ScoreField:
             )
 
 
-# The [0, 1] check reads this many bytes at a time, so at most this much
-# of a mapped field is resident at once while it runs. On a 2-core VM it
-# checked a 76 MB mapped field in 8-10 ms with 1, 2 or 4 MB chunks.
+# The [0, 1] check reads this many bytes at a time, and every process that
+# runs a mapped field's rows gives their pages back in spans of this size,
+# so about this much of a mapped field is resident in a process at once.
+# On a 2-core VM the check took 8-10 ms on a 76 MB mapped field with 1, 2
+# or 4 MB chunks.
 CHECK_CHUNK_BYTES = 1 << 21
+
+# A page drop reaches this far past each end of the rows it gives back,
+# for the file pages that fault-around and large page-cache folios map
+# beyond the rows a process reads, or map back after a drop. Where the
+# kernel does that, serial decode_field on a 76 MB mapped field was
+# measured to grow by 47 MB with drops of each block's exact rows, and by
+# 0.4 MB with this margin. On a 2-core ext4 VM (Linux 6.18) the same call
+# grew by 6.9 MB with exact-row drops and by 5.1 MB with 2 MB spans,
+# margin or not; the margin cost no CPU that could be told from noise.
+DROP_MARGIN_BYTES = 1 << 19
 
 
 def _check_unit_range(s: np.ndarray) -> None:
     """Raise ``ValueError`` unless every score lies in [0, 1]. A contiguous
     array is read one ``CHECK_CHUNK_BYTES`` chunk at a time, and when it is
-    a read-only file mapping each chunk's pages are dropped after the
-    check: they are the file's, so a later read faults them in again."""
+    a field file's map each chunk's pages are dropped after the check:
+    they are the file's, so a later read faults them in again."""
     if not s.size:  # min() raises on an empty array
         return
-    chunks = [s]
+    flat, chunks = s, [slice(None)]
     if s.flags.c_contiguous:
         flat = s.reshape(-1)
         step = CHECK_CHUNK_BYTES // s.itemsize
-        chunks = (flat[i:i + step] for i in range(0, flat.size, step))
-    mapping = _file_mapping(s)
-    for chunk in chunks:
+        chunks = (slice(i, min(i + step, flat.size)) for i in range(0, flat.size, step))
+    ran = page_dropper(flat)
+    for rows in chunks:
         # NaN propagates through min/max and +-inf falls outside the
         # range, so no mask is needed.
-        if not (chunk.min() >= 0.0 and chunk.max() <= 1.0):
+        if not (flat[rows].min() >= 0.0 and flat[rows].max() <= 1.0):
             raise ValueError("scores must lie in [0, 1]")
-        if mapping is not None:
-            buf, start = mapping
-            first = chunk.ctypes.data - start
-            page = first - first % mmap.PAGESIZE
-            buf.madvise(mmap.MADV_DONTNEED, page, first + chunk.nbytes - page)
+        ran(rows)
+    ran()
+
+
+# The maps ``_read_payload`` made. Only their pages are ever dropped: a
+# dropped page of a read-only file map reads back from the file, but
+# MADV_DONTNEED zeroes a private or anonymous map's pages.
+_FILE_MAPS: weakref.WeakSet = weakref.WeakSet()
 
 
 def _file_mapping(a: np.ndarray) -> tuple[mmap.mmap, int] | None:
-    """The read-only ``mmap`` that ``a`` views and its start address, or
-    None. Only ``_read_payload`` maps memory read-only; ``shared_zeros``
-    output is writable and must keep its pages."""
+    """The ``_read_payload`` map that ``a`` views and its start address,
+    or None."""
     while isinstance(a, np.ndarray):
         a = a.base
-    if isinstance(a, memoryview) and a.readonly and isinstance(a.obj, mmap.mmap):
+    if isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap) and a.obj in _FILE_MAPS:
         return a.obj, np.frombuffer(a, np.uint8).ctypes.data
     return None
+
+
+def page_dropper(a: np.ndarray) -> Callable[..., None]:
+    """``ran(rows)``, to call after each use of ``a[rows]``, and ``ran()``,
+    to call at the end, which gives back the pages of every row run since
+    the last drop.
+
+    When ``a`` is a C-contiguous view of a field file's map, ``ran`` joins
+    adjacent row slices, from either end, into one span and drops its pages
+    (``MADV_DONTNEED``, ``DROP_MARGIN_BYTES`` wider on each side) once it
+    reaches ``CHECK_CHUNK_BYTES`` or a slice does not touch it. So about
+    one span of ``a`` stays resident, and one ``madvise`` serves a span of
+    blocks. Each process keeps its own span, from the one its parent had
+    at the fork. For any other array ``ran`` does nothing, so memory that
+    holds data of its own is never dropped."""
+    mapping = _file_mapping(a) if a.ndim and a.flags.c_contiguous else None
+    if mapping is None:
+        return lambda rows=None: None
+    buf, start = mapping
+    first = a.ctypes.data - start  # where a[0] lies in buf
+    row_bytes = a.itemsize * math.prod(a.shape[1:])
+    span = [0, 0]  # [lo, hi) bytes of buf not yet dropped; empty when equal
+
+    def ran(rows: slice | None = None) -> None:
+        if rows is not None:
+            lo, hi = first + rows.start * row_bytes, first + rows.stop * row_bytes
+            if lo == span[1]:
+                span[1] = hi
+            elif hi == span[0]:
+                span[0] = lo
+            else:
+                ran()
+                span[:] = lo, hi
+            if span[1] - span[0] < CHECK_CHUNK_BYTES:
+                return
+        lo, hi = span
+        span[:] = 0, 0
+        if lo < hi:
+            lo = max(0, lo - DROP_MARGIN_BYTES)
+            lo -= lo % mmap.PAGESIZE
+            # mmap clips the length to the end of the map.
+            buf.madvise(mmap.MADV_DONTNEED, lo, hi + DROP_MARGIN_BYTES - lo)
+
+    return ran
 
 
 @dataclass
@@ -187,6 +251,7 @@ def _read_payload(path, magic: bytes, ndim: int, dtype: str, kind: str) -> np.nd
             buf = mmap.mmap(f.fileno(), expect, access=mmap.ACCESS_READ)
         except ValueError:  # mmap checks the size again
             raise FieldFormatError(f"truncated {kind} field: file shrank while mapping") from None
+    _FILE_MAPS.add(buf)
     return np.frombuffer(buf, dtype=dtype, count=count, offset=head_len).reshape(shape)
 
 

@@ -33,7 +33,7 @@ from .coherence import (
     run_blocks,
     shared_zeros,
 )
-from .fields import IGNORE, LabelField, ScoreField
+from .fields import IGNORE, LabelField, ScoreField, page_dropper
 from .taxonomy import ClassHierarchy
 
 # Every loss the trainer and the gradient check accept.
@@ -296,7 +296,10 @@ def field_loss(
     gradient and each valid pixel's value at its pixel into ``shared_zeros``
     memory; the valid values are summed once, in pixel order, after every
     worker has ended. The caller's peak RSS does not include the pages its
-    workers touch.
+    workers touch. When the scores are mapped from a file, each process
+    gives back the pages of the rows it has run through
+    ``fields.page_dropper``, so about one ``CHECK_CHUNK_BYTES`` span of
+    them is resident in it at once.
     """
     _check_field_loss(which)
     blocks = field_blocks(h, scores, gt)
@@ -306,6 +309,7 @@ def field_loss(
     n = int(np.count_nonzero(valid))
     grad = shared_zeros(flat_s.shape, np.float64)
     values = shared_zeros(flat_l.shape, np.float64)  # each at its own pixel
+    ran = page_dropper(flat_s)
 
     def work(rows: slice) -> None:
         ok = valid[rows]
@@ -314,6 +318,8 @@ def field_loss(
         v, g = batch_loss(h, flat_s[rows][ok], ids, which, cfg)
         values[rows][ok] = v
         grad[rows][ok] = g / n
+        ran(rows)
 
     run_blocks(blocks, work)
+    ran()
     return float(values[valid].sum() / max(n, 1)), grad.reshape(scores.scores.shape)

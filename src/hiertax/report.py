@@ -41,9 +41,10 @@ def load_run_json(path) -> dict:
     reads and the file lacks, the first curve that is not a list as long as ``losses``,
     the first curve entry or a ``violation_rate`` that is not a number, or the first
     ``level_miou`` entry without an integer ``level``, a dict ``iou`` and ``miou``, with
-    an ``iou`` key that is not an integer, or with an ``iou`` value or ``miou`` that is
-    not a number. A number is a finite int or float, not a bool. So
-    ``write_report_files`` writes nothing for a bad file."""
+    an ``iou`` key that is not a class id as ``run_artifacts`` writes it (the ``str`` of
+    an int ≥ 0), or with an ``iou`` value or ``miou`` that is not a number. A number is
+    a finite int or float, not a bool. So ``write_report_files`` writes nothing for a
+    bad file."""
     with open(path) as f:
         run = json.load(f)
     keys = ("losses", "betas", "triplet_losses", "level_miou", "violation_rate")
@@ -70,10 +71,14 @@ def load_run_json(path) -> dict:
         if type(entry["level"]) is not int:
             raise ValueError(f"{where}: 'level' must be an integer")
         for key, value in entry["iou"].items():
+            # A class id as run_artifacts writes it: int() also reads " 1",
+            # "01", "1_0" and "-3", which metrics.csv would copy verbatim.
             try:
-                int(key)
+                class_id = key == str(int(key)) and int(key) >= 0
             except ValueError:
-                raise ValueError(f"{where}: 'iou' key {key!r} is not an integer") from None
+                class_id = False
+            if not class_id:
+                raise ValueError(f"{where}: 'iou' key {key!r} is not an integer class id")
             if not _is_number(value):
                 raise ValueError(f"{where}: 'iou' value for {key!r} must be a number")
         if not _is_number(entry["miou"]):
@@ -131,11 +136,16 @@ def _loss_curve_svg(losses: list[float], width: int = 640, height: int = 360) ->
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
     ]
     if losses:
-        lo, hi = min(losses), max(losses)
+        ys, lo, hi = losses, min(losses), max(losses)
+        if (height - 2 * pad) * (hi - lo) > sys.float_info.max:
+            # Finite losses too far apart for the products below: plot each
+            # one's place between the two ends, computed on halves.
+            ys = [(v / 2 - lo / 2) / (hi / 2 - lo / 2) for v in losses]
+            lo, hi = 0.0, 1.0
         span = (hi - lo) or 1.0
         nx = max(len(losses) - 1, 1)
         points = []
-        for i, v in enumerate(losses):
+        for i, v in enumerate(ys):
             px = pad + (width - 2 * pad) * i / nx
             py = height - pad - (height - 2 * pad) * (v - lo) / span
             points.append(f"{px:.2f},{py:.2f}")

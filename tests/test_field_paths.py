@@ -16,6 +16,7 @@ descriptors are handled as in a plain round.
 """
 
 import contextlib
+import mmap
 import os
 import struct
 import time
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hiertax import coherence
+from hiertax import coherence, fields
 from hiertax.coherence import (
     BLOCK_ELEMS,
     MIN_BLOCKS,
@@ -38,12 +39,14 @@ from hiertax.coherence import (
 )
 from hiertax.evaluation import decode_field
 from hiertax.fields import (
+    CHECK_CHUNK_BYTES,
     IGNORE,
     FieldFormatError,
     LabelField,
     ScoreField,
     read_label_field,
     read_score_field,
+    write_score_field,
 )
 from hiertax.gradcheck import random_hierarchy
 from hiertax.losses import FIELD_LOSSES, batch_loss, field_loss
@@ -485,3 +488,63 @@ def test_an_empty_field_gives_empty_outputs(tiny):
     value, grad = field_loss(tiny, scores, labels, "ftm")
     assert value == 0.0 and grad.shape == (0, 3, 5)
     assert decode_field(tiny, scores).leaf.shape == (0, 3)
+
+
+def _mapped_kb(path) -> int:
+    """This process's resident kB of its maps of the file at ``path``."""
+    kb, inside = 0, False
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            if line[0] in "0123456789abcdef" and "-" in line.split()[0]:  # a map's first line
+                inside = line.rstrip("\n").endswith(" " + str(path))
+            elif inside and line.startswith("Rss:"):
+                kb += int(line.split()[1])
+    return kb
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="no /proc/self/smaps")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_mapped_field_gives_the_in_memory_outputs(monkeypatch, tmp_path, cpus):
+    """Every path drops the pages of the mapped rows it has run, and gives
+    the same bits as on the field in memory. The payload starts 16 bytes
+    into its map, so no block or span is page-aligned, and the 115 blocks
+    are no multiple of the 33 that fill a ``CHECK_CHUNK_BYTES`` span.
+    Each path gives back what is left when its blocks have run, so then
+    next to nothing of the 7.4 MB field is resident in the caller."""
+    h, scores, labels = _mapillary_case(np.float32)
+    path = tmp_path / "s.hssf"
+    write_score_field(path, scores)
+    mapped = read_score_field(path)
+    assert fields._file_mapping(mapped.scores) is not None
+    use_cpus(monkeypatch, cpus)
+    in_memory = _field_outputs(h, scores, labels)
+    pids = counted_forks(monkeypatch)
+    _assert_same_outputs(_field_outputs(h, mapped, labels), in_memory)
+    assert _mapped_kb(path) <= fields.DROP_MARGIN_BYTES / 1024
+    assert len(pids) == (cpus - 1) * FIELD_CALLS
+    assert_no_child_left()
+
+
+def test_pages_are_dropped_only_from_field_file_maps():
+    """``MADV_DONTNEED`` zeroes the pages of a private or anonymous map, so
+    a read-only view of one is not a field file's map: its check must not
+    drop the pages that hold its scores."""
+    buf = mmap.mmap(-1, 4 * 2**18, flags=mmap.MAP_PRIVATE)
+    s = np.frombuffer(memoryview(buf).toreadonly(), np.float32)
+    np.frombuffer(buf, np.float32)[:] = 0.5
+    field = ScoreField(s.reshape(256, 256, 4))
+    assert field.scores.sum() == 0.5 * s.size
+
+
+def test_the_page_dropper_leaves_arrays_of_their_own_unchanged():
+    """In-memory and ``shared_zeros`` arrays are run over, three spans and
+    a remainder, and keep every value."""
+    want = np.random.default_rng(1).random((3 * CHECK_CHUNK_BYTES // 20 + 7, 5)).astype(np.float32)
+    shared = shared_zeros(want.shape, want.dtype)
+    shared[:] = want
+    for a in (want.copy(), shared):
+        ran = fields.page_dropper(a)
+        for i in range(0, len(a), 1000):
+            ran(slice(i, min(i + 1000, len(a))))
+        ran()
+        assert a.tobytes() == want.tobytes()

@@ -296,10 +296,14 @@ def _saved_run(tmp_path) -> dict:
     (lambda run: run["level_miou"][1]["iou"].update({"1": math.nan}),
      "level_miou entry 1: 'iou' value for '1' must be a number"),
     (lambda run: run["level_miou"][0].update(miou=math.inf), "level_miou entry 0: 'miou' must be a number"),
+    *[(lambda run, key=key: run["level_miou"][1]["iou"].update({key: 0.5}),
+       f"level_miou entry 1: 'iou' key {key!r} is not an integer class id")
+      for key in (" 1", "-3", "01", "1_0")],
 ], ids=["no-betas", "long-losses", "entry-without-miou", "iou-not-a-dict", "iou-key-not-an-int",
         "iou-value-a-string", "iou-value-a-bool", "miou-null", "miou-a-bool", "loss-a-string",
         "loss-nan", "beta-minus-inf", "triplet-loss-a-bool", "violation-rate-a-string",
-        "violation-rate-inf", "level-a-string", "level-a-float", "iou-value-nan", "miou-inf"])
+        "violation-rate-inf", "level-a-string", "level-a-float", "iou-value-nan", "miou-inf",
+        "iou-key-padded", "iou-key-negative", "iou-key-zero-led", "iou-key-underscored"])
 def test_report_rejects_a_malformed_run_json(tmp_path, capsys, edit, match):
     """A run.json without a key the report reads, with curves of different
     lengths, with a curve entry or violation rate that is not a finite
@@ -315,6 +319,23 @@ def test_report_rejects_a_malformed_run_json(tmp_path, capsys, edit, match):
     err = capsys.readouterr().err
     assert "validation failure" in err and match in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("losses", [[-1e308, 0.0, 1e308], [0.0, 5e306, 1e307]])
+def test_report_plots_finite_points_when_the_loss_range_overflows(tmp_path, losses):
+    """Finite losses whose range, or the range times the plot height,
+    overflows a float."""
+    run = _saved_run(tmp_path)
+    run.update(losses=losses, betas=[0.0] * 3, triplet_losses=[0.0] * 3)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(run))
+    out = tmp_path / "report"
+    assert main(["report", "--run", str(path), "--out-dir", str(out)]) == EXIT_OK
+    svg = (out / "loss_curve.svg").read_text()
+    points = svg.split(' points="')[1].split('"')[0].split()
+    assert [tuple(map(float, p.split(","))) for p in points] == [
+        (40.0, 320.0), (320.0, 180.0), (600.0, 40.0)
+    ]
 
 
 @pytest.mark.parametrize("args", [

@@ -1,6 +1,7 @@
 """Every name a library module imports is read somewhere in that module,
-only ``coherence.block_workers`` forks, exits or waits for a process, and
-only ``fields._read_payload`` and ``coherence.shared_zeros`` map memory.
+only ``coherence.block_workers`` forks, exits or waits for a process,
+only ``fields._read_payload`` and ``coherence.shared_zeros`` map memory,
+and only ``fields.page_dropper`` drops pages with ``madvise``.
 
 No linter ships with the project's toolchain, so this is the unused-import
 gate: ``__init__.py`` re-exports, and ``from __future__`` imports change the
@@ -175,3 +176,48 @@ def test_the_map_helpers_are_where_the_maps_are():
     found = {path.name: map_calls((SRC / path.name).read_text()) for path in MODULES}
     made = {name: {line.split()[2] for line in lines} for name, lines in found.items() if lines}
     assert made == {name: set(helpers) for name, helpers in MAP_HELPERS.items()}
+
+
+# Page drops that only ``fields.page_dropper`` may make: ``MADV_DONTNEED``
+# on a private or anonymous map zeroes its pages, so a second caller of
+# ``madvise`` could silently lose data that no file holds.
+DROP_HELPER = "page_dropper"
+
+
+def madvise_calls(source: str, helper: str | None = None) -> list[str]:
+    """Each ``madvise`` attribute, or name imported as ``madvise``, outside
+    the top-level function named ``helper``."""
+    tree = ast.parse(source)
+    inside = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == helper:
+            inside.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "madvise":
+            found.append(f"line {node.lineno}: .madvise")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: import madvise" for a in node.names if a.name == "madvise"]
+    return found
+
+
+def test_gate_sees_madvise_outside_the_helper():
+    source = (
+        "import mmap\nfrom x import madvise as m\n"
+        "def page_dropper(buf):\n    buf.madvise(mmap.MADV_DONTNEED, 0, 1)\n"
+        "def other(buf):\n    f = buf.madvise\n    f(mmap.MADV_DONTNEED)\n"
+    )
+    assert madvise_calls(source, helper="page_dropper") == ["line 2: import madvise", "line 6: .madvise"]
+    assert len(madvise_calls(source)) == 3
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_page_dropper_drops_pages(path):
+    helper = DROP_HELPER if path.name == "fields.py" else None
+    assert madvise_calls(path.read_text(), helper) == []
+
+
+def test_page_dropper_is_where_the_page_drops_are():
+    assert madvise_calls((SRC / "fields.py").read_text()) != []

@@ -30,7 +30,7 @@ from hiertax.coherence import (
     tree_extrema,
 )
 from hiertax.evaluation import decode_batch
-from hiertax.fields import CHECK_CHUNK_BYTES
+from hiertax.fields import CHECK_CHUNK_BYTES, IGNORE, LabelField, write_label_field
 from hiertax.gradcheck import random_hierarchy
 from hiertax.losses import (
     FIELD_LOSSES,
@@ -40,7 +40,7 @@ from hiertax.losses import (
     focal_tree_min_loss,
     tree_min_loss,
 )
-from hiertax.taxonomy import build_hierarchy
+from hiertax.taxonomy import build_hierarchy, load_taxonomy
 from hiertax.training import coherence_violation_rate
 
 from conftest import assert_same_bits
@@ -478,3 +478,96 @@ def test_reading_a_field_does_not_make_it_resident(tmp_path):
     got = json.loads(done.stdout)
     grown_mb = (got["peak_kb"] - got["base_kb"]) / 1024
     assert grown_mb <= CHECK_CHUNK_BYTES / 2**20 + READ_RSS_MARGIN_MB, grown_mb
+
+
+MAPPED_RSS_CODE = """\
+import json, os, sys
+import numpy as np
+import hiertax
+from hiertax.fields import read_label_field, read_score_field
+
+def status_kb(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(key + ":"))
+
+# A forked worker's VmHWM starts at its VmRSS just after the fork, so its
+# VmHWM when it exits, less that, is what it grew. The pages it shares
+# with the caller at the fork are not counted twice.
+real_fork, real_exit = os.fork, os._exit
+forked_kb = [0]
+worker_kb = hiertax.coherence.shared_zeros((1,), np.int64)
+
+def fork():
+    pid = real_fork()
+    if pid == 0:
+        forked_kb[0] = status_kb("VmRSS")
+    return pid
+
+def exit_(status):
+    worker_kb[0] = max(worker_kb[0], status_kb("VmHWM") - forked_kb[0])
+    real_exit(status)
+
+os.fork, os._exit = fork, exit_
+tax, scores_path, labels_path, which, cpus = sys.argv[1:]
+hiertax.coherence._usable_cpus = lambda: int(cpus)
+h = hiertax.load_taxonomy(tax)
+labels = read_label_field(labels_path)
+scores = read_score_field(scores_path)
+calls = {
+    "propagate_field": lambda: hiertax.propagate_field(h, scores, labels).scores,
+    "field_loss": lambda: hiertax.field_loss(h, scores, labels, "ftm")[1],
+    "decode_field": lambda: hiertax.decode_field(h, scores).leaf,
+}
+before = status_kb("VmRSS")
+out = calls[which]()
+print(json.dumps({"caller_kb": status_kb("VmHWM") - before,
+                  "worker_kb": int(worker_kb[0]), "out_bytes": out.nbytes}))
+"""
+
+# Room above a path's output and one span of the mapped field for the
+# span's last block and margins, the block temporaries, the allocator and
+# field_loss's per-pixel values (1 MB here). On a 2-core VM each process
+# grew by 2.2-5.6 MB above its output plus one span; without page drops
+# serial decode_field grew by 73 MB, and with drops of each block's exact
+# rows by 47 MB.
+MAPPED_RSS_MARGIN_MB = 8
+
+
+@pytest.fixture(scope="module")
+def mapped_field_files(tmp_path_factory):
+    """A 256x512 Mapillary field of uniform float32 scores, 76 MB on disk,
+    written a row at a time, and its labels with 10% ignored."""
+    tax = os.path.join(SRC, "hiertax", "data", "mapillary_vistas.tax")
+    h = load_taxonomy(tax)
+    height, width = 256, 512
+    rng = np.random.default_rng(0)
+    root = tmp_path_factory.mktemp("mapped")
+    scores, labels = root / "scores.hssf", root / "labels.hslf"
+    with open(scores, "wb") as f:
+        f.write(b"HSSF" + struct.pack("<III", height, width, len(h)))
+        for _ in range(height):
+            f.write(rng.random((width, len(h)), dtype=np.float32).astype("<f4").tobytes())
+    leaf = np.array(h.leaves, dtype=np.uint32)[rng.integers(0, len(h.leaves), size=(height, width))]
+    leaf[rng.random((height, width)) < 0.1] = IGNORE
+    write_label_field(labels, LabelField(leaf))
+    assert scores.stat().st_size >= 64 * 2**20
+    return tax, str(scores), str(labels)
+
+
+@pytest.mark.parametrize("which", ["propagate_field", "field_loss", "decode_field"])
+def test_field_paths_keep_about_one_span_of_a_mapped_field_resident(mapped_field_files, which):
+    """Each process gives back the pages of the mapped score rows it has
+    run, a ``CHECK_CHUNK_BYTES`` span at a time. So at one CPU the caller,
+    and at two the caller and its worker each, grow by at most the path's
+    output, one span and a margin: never by the 76 MB field."""
+    for cpus in (1, 2):
+        done = subprocess.run(
+            [sys.executable, "-c", MAPPED_RSS_CODE, *mapped_field_files, which, str(cpus)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        bound_mb = (got["out_bytes"] + CHECK_CHUNK_BYTES) / 2**20 + MAPPED_RSS_MARGIN_MB
+        assert got["caller_kb"] / 1024 <= bound_mb, (cpus, got)
+        if cpus == 2:
+            assert 0 < got["worker_kb"] / 1024 <= bound_mb, got
