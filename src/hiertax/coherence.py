@@ -22,17 +22,21 @@ the DP works node-major on a copy of the one row block they are given, and
 their callers pass ``row_blocks`` of at most ``BLOCK_ELEMS // |V|`` rows (at
 least one), which keeps temporaries small; results do not depend on N.
 
-The field paths (``propagate_field``, ``losses.field_loss`` and
-``evaluation.decode_field``) hand their row blocks to ``run_blocks``, which
-calls their ``work`` once per block, the same in a child as in the caller.
-Contiguous ranges of blocks run in forked children that write into
-``shared_zeros`` outputs, so a field is walked on every usable core.
-``run_blocks`` is one round of ``block_workers``, the one place that forks,
-exits and reaps a process; ``training.train`` keeps its workers for every
-step of a run. The caller's own range is a shared cursor that it walks
-from the front; a child that has finished its own range takes blocks from
-the back of it. So a round's ``first`` callable (training's triplet step)
-runs in the caller while the children cover its rows.
+``run_blocks`` is the one walker of the field paths (``propagate_field``,
+``losses.field_loss`` and ``evaluation.decode_field``): it calls their
+per-block ``work`` once on each ``row_blocks`` slice of a field's score
+rows, the same in a child as in the caller, and gives back the pages of
+mapped rows once run. Contiguous ranges of blocks run in forked children
+that write into ``shared_zeros`` outputs, so a field is walked on every
+usable core. ``run_blocks`` is one round of ``block_workers``, the one
+place that forks, exits and reaps a process; ``training.train`` keeps its
+workers for every step of a run. The caller's own range is a shared
+cursor that it walks from the front; a child that has finished its own
+range takes blocks from the back of it. So a round's ``first`` callable
+(training's triplet step) runs in the caller while the children cover its
+rows. The loops of ``losses.batch_loss``, ``evaluation.decode_batch`` and
+``coherence_violation_rate`` stay serial: no caller gives them enough
+rows to fork.
 """
 
 from __future__ import annotations
@@ -63,12 +67,6 @@ def _check_lengths(h: ClassHierarchy, *vecs: np.ndarray) -> None:
     for v in vecs:
         if v.shape != (len(h),):
             raise ValueError(f"expected vector of length {len(h)}, got shape {v.shape}")
-
-
-def _check_scores(h: ClassHierarchy, s: np.ndarray) -> None:
-    """Raise ``ValueError`` unless ``s`` is an (N, |V|) array of score rows."""
-    if s.ndim != 2 or s.shape[1] != len(h):
-        raise ValueError(f"expected scores of shape (N, {len(h)}), got {s.shape}")
 
 
 def _constraint_scores(h: ClassHierarchy, s: np.ndarray, threshold: float) -> np.ndarray:
@@ -116,8 +114,7 @@ def coherence_violation_rate(h: ClassHierarchy, s: np.ndarray) -> float:
     violates for the child if it is above the threshold and for the parent
     otherwise. Raises ``ValueError`` for a NaN score or a width other than |V|.
     """
-    s = np.asarray(s, dtype=np.float64)
-    _check_scores(h, s)
+    s = _dp_scores(h, s)
     if np.isnan(s).any():
         raise ValueError("scores must not be NaN")
     viol = np.zeros(s.shape[0], dtype=bool)
@@ -179,20 +176,12 @@ def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -
 
     The result keeps the input's dtype: propagation only copies scores, so
     a float32 field is propagated one row block at a time into a float32
-    copy with no loss. The blocks are split between ``run_blocks``
-    workers, one per usable CPU with at least ``MIN_BLOCKS`` blocks each;
-    each ``work`` call copies one block's rows into the output, which lives
-    on ``shared_zeros`` memory, then overwrites their valid pixels. The
-    caller's peak RSS does not include the pages its workers touch. When
-    the scores are mapped from a file, each process gives back the pages
-    of the rows it has run through ``fields.page_dropper``, so about one
-    ``CHECK_CHUNK_BYTES`` span of them is resident in it at once.
+    copy with no loss. Each ``run_blocks`` call of ``work`` copies one
+    block's rows into the ``shared_zeros`` output, then overwrites their
+    valid pixels.
     """
-    blocks = field_blocks(h, scores, labels)
-    flat_s = scores.scores.reshape(-1, len(h))
-    flat_l = labels.leaf.reshape(-1)
+    flat_s, flat_l = field_rows(h, scores, labels)
     out = shared_zeros(flat_s.shape, flat_s.dtype)
-    ran = page_dropper(flat_s)
 
     def work(rows: slice) -> None:
         valid = flat_l[rows] != IGNORE
@@ -200,10 +189,8 @@ def propagate_field(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -
         _check_ignored_rows(out[rows], valid)
         ids = flat_l[rows][valid].astype(np.int64)
         out[rows][valid] = propagate_batch(h, flat_s[rows][valid], ids)
-        ran(rows)
 
-    run_blocks(blocks, work)
-    ran()
+    run_blocks(h, flat_s, work)
     return ScoreField(scores=out.reshape(scores.scores.shape))
 
 
@@ -216,16 +203,18 @@ def row_blocks(h: ClassHierarchy, n: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def field_blocks(h: ClassHierarchy, scores: ScoreField, labels: LabelField) -> list[slice]:
+def field_rows(
+    h: ClassHierarchy, scores: ScoreField, labels: LabelField
+) -> tuple[np.ndarray, np.ndarray]:
     """Check a score and a label field against ``h`` and each other, then
-    return the ``row_blocks`` of their flattened pixels. The checks run
-    before the caller reshapes or allocates.
+    return their flattened pixels: (N, |V|) score rows and N label ids.
+    The checks run before anything is reshaped or allocated.
     """
     scores.check_hierarchy(h)
     labels.check_hierarchy(h)
     if (scores.height, scores.width) != (labels.height, labels.width):
         raise ValueError("score and label fields have mismatched dimensions")
-    return row_blocks(h, labels.leaf.size)
+    return scores.scores.reshape(-1, len(h)), labels.leaf.reshape(-1)
 
 
 def _check_ignored_rows(block: np.ndarray, valid: np.ndarray) -> None:
@@ -401,11 +390,27 @@ def block_workers(
             raise ChildProcessError(f"worker {pid} ended with exit code {code}")
 
 
-def run_blocks(blocks: list, work: Callable[..., None]) -> None:
-    """Call ``work(block)`` once on each of ``blocks``: one round of
-    ``block_workers``, with at least ``MIN_BLOCKS`` blocks per worker."""
-    with block_workers(blocks, work) as run_round:
+def run_blocks(h: ClassHierarchy, s: np.ndarray, work: Callable[[slice], None]) -> None:
+    """Call ``work(rows)`` once on each ``row_blocks(h, len(s))`` slice of
+    the (N, |V|) score rows ``s``, in one round of ``block_workers`` with at
+    least ``MIN_BLOCKS`` blocks per worker.
+
+    ``work`` writes its results into ``shared_zeros`` outputs, so the
+    caller's peak RSS does not include the pages its workers touch. After
+    each block, and once more in the caller at the end, the pages of the
+    rows run are given back through ``fields.page_dropper``: when ``s`` is
+    mapped from a file, about one ``CHECK_CHUNK_BYTES`` span of it is
+    resident in a process at once.
+    """
+    ran = page_dropper(s)
+
+    def block(rows: slice) -> None:
+        work(rows)
+        ran(rows)
+
+    with block_workers(row_blocks(h, len(s)), block) as run_round:
         run_round()
+    ran()
 
 
 def sibling_max(
@@ -496,12 +501,13 @@ def _leaf_rows(h: ClassHierarchy, leaf_ids: np.ndarray, n: int) -> np.ndarray:
 
 def _dp_scores(h: ClassHierarchy, s: np.ndarray) -> np.ndarray:
     """``s`` as (N, |V|) score rows of a float dtype no narrower than
-    float32. A float32 block stays float32: the tree DP only compares and
-    copies, and widening its results to float64 is exact."""
+    float32; raises ``ValueError`` for any other shape. A float32 block
+    stays float32: the tree DP only compares and copies, and widening its
+    results to float64 is exact."""
     s = np.asarray(s)
-    s = s.astype(np.result_type(s, np.float32), copy=False)
-    _check_scores(h, s)
-    return s
+    if s.ndim != 2 or s.shape[1] != len(h):
+        raise ValueError(f"expected scores of shape (N, {len(h)}), got {s.shape}")
+    return s.astype(np.result_type(s, np.float32), copy=False)
 
 
 def propagate_batch(h: ClassHierarchy, s: np.ndarray, leaf_ids: np.ndarray) -> np.ndarray:

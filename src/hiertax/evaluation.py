@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _check_scores, row_blocks, run_blocks, shared_zeros, sibling_max
-from .fields import LabelField, ScoreField, page_dropper
+from .coherence import _dp_scores, row_blocks, run_blocks, shared_zeros, sibling_max
+from .fields import LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
 
@@ -36,8 +36,7 @@ def decode_batch(h: ClassHierarchy, s: np.ndarray) -> np.ndarray:
     whatever the input's float dtype; leaf ids are carried as int32. Raises
     ``ValueError`` for a NaN score, which no path sum could be compared with.
     """
-    s = np.asarray(s)
-    _check_scores(h, s)
+    s = _dp_scores(h, s)
     out = np.empty(s.shape[0], dtype=np.int64)
     ids = np.arange(len(h), dtype=np.int32)
     for rows in row_blocks(h, s.shape[0]):
@@ -61,27 +60,17 @@ def decode_path(h: ClassHierarchy, s: np.ndarray) -> int:
 
 
 def decode_field(h: ClassHierarchy, scores: ScoreField) -> LabelField:
-    """Per-pixel best-path decode over a whole score field.
-
-    The row blocks are split between ``coherence.run_blocks`` workers, one
-    per usable CPU with at least ``MIN_BLOCKS`` blocks each; each ``work``
-    call decodes one block's rows into a ``shared_zeros`` label array. The
-    caller's peak RSS does not include the pages its workers touch. When
-    the scores are mapped from a file, each process gives back the pages
-    of the rows it has run through ``fields.page_dropper``, so about one
-    ``CHECK_CHUNK_BYTES`` span of them is resident in it at once.
-    """
+    """Per-pixel best-path decode over a whole score field: each
+    ``coherence.run_blocks`` call of ``work`` decodes one row block into a
+    ``shared_zeros`` label array."""
     scores.check_hierarchy(h)
     flat = scores.scores.reshape(-1, len(h))
     leaves = shared_zeros((len(flat),), np.uint32)
-    ran = page_dropper(flat)
 
     def work(rows: slice) -> None:
         leaves[rows] = decode_batch(h, flat[rows])
-        ran(rows)
 
-    run_blocks(row_blocks(h, len(flat)), work)
-    ran()
+    run_blocks(h, flat, work)
     return LabelField(leaf=leaves.reshape(scores.height, scores.width))
 
 

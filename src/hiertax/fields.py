@@ -14,15 +14,15 @@ other dtype is converted to float64. Readers check the header against the
 file size, then map the file read-only and view its payload in place: no
 copy is made, and a process holds only the pages it reads. So a field
 read from a file is read-only. Pages of a mapped score field are given
-back after use by ``page_dropper``, the one place that drops pages:
-``ScoreField``'s [0, 1] check reads a mapped field one chunk at a time and
-drops each chunk's pages after it, so reading a field does not make it
-resident. The field paths (``propagate_field``, ``field_loss``,
-``decode_field``) widen one row block at a time, so their temporaries are
-block-sized whatever the field; each of their processes faults in only
-the rows it runs and drops them in spans of ``CHECK_CHUNK_BYTES``, so
-about one span of the input is resident in a process at once. Their
-outputs are still whole arrays.
+back after use by ``page_dropper``, the one place that drops pages. It has
+two callers: ``ScoreField``'s [0, 1] check reads a mapped field one chunk
+at a time and drops each chunk's pages after it, so reading a field does
+not make it resident; and ``coherence.run_blocks``, the walker of the
+field paths (``propagate_field``, ``field_loss``, ``decode_field``), drops
+the rows each of its processes has run in spans of ``CHECK_CHUNK_BYTES``,
+so about one span of the input is resident in a process at once. The
+field paths widen one row block at a time, so their temporaries are
+block-sized whatever the field; their outputs are still whole arrays.
 
 Writers write a new file beside the target and rename it onto the path,
 so a field mapped from the old file keeps its bytes, even when it is

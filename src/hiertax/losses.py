@@ -27,13 +27,13 @@ from .coherence import (
     _dp_scores,
     _leaf_rows,
     _propagated_winners,
-    field_blocks,
+    field_rows,
     propagate_winners,
     row_blocks,
     run_blocks,
     shared_zeros,
 )
-from .fields import IGNORE, LabelField, ScoreField, page_dropper
+from .fields import IGNORE, LabelField, ScoreField
 from .taxonomy import ClassHierarchy
 
 # Every loss the trainer and the gradient check accept.
@@ -73,14 +73,19 @@ def cce_loss(
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the leaf logits of (N, |V|) ``logits``,
     and its gradient, zero at internal nodes, from one ``cce_rows`` call.
-    Raises ``ValueError`` naming the first label id that is not a leaf of ``h``."""
+    Raises ``ValueError`` naming the first label id that is not a leaf of
+    ``h``, and for a non-finite logit; no rows give +0.0."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = h.leaf_positions(leaf_ids)
     if logits.ndim != 2 or logits.shape[1] != len(h) or targets.shape != logits.shape[:1]:
         raise ValueError(
             f"expected (N, {len(h)}) logits and N leaf ids, got {logits.shape} and {targets.shape}"
         )
+    if not np.isfinite(logits).all():
+        raise ValueError("logits must be finite")
     grad = np.empty_like(logits)
+    if not len(targets):
+        return 0.0, grad
     values = cce_rows(h, logits, targets, len(targets), grad)
     # Minus the mean log-likelihood: a mean of 0s is +0.0, not -0.0.
     return -float((-values).mean()), grad
@@ -290,26 +295,17 @@ def field_loss(
     gradient field. A NaN score raises ``ValueError``, at an ignored pixel
     too, and a ``which`` outside ``FIELD_LOSSES`` before anything else.
 
-    ``batch_loss`` runs on one row block's valid pixels per ``work`` call.
-    The blocks are split between ``coherence.run_blocks`` workers, one per
-    usable CPU with at least ``MIN_BLOCKS`` blocks each, which write the
-    gradient and each valid pixel's value at its pixel into ``shared_zeros``
-    memory; the valid values are summed once, in pixel order, after every
-    worker has ended. The caller's peak RSS does not include the pages its
-    workers touch. When the scores are mapped from a file, each process
-    gives back the pages of the rows it has run through
-    ``fields.page_dropper``, so about one ``CHECK_CHUNK_BYTES`` span of
-    them is resident in it at once.
+    Each ``coherence.run_blocks`` call of ``work`` runs ``batch_loss`` on
+    one row block's valid pixels and writes the gradient and each valid
+    pixel's value at its pixel into ``shared_zeros`` memory; the valid
+    values are summed once, in pixel order, after every worker has ended.
     """
     _check_field_loss(which)
-    blocks = field_blocks(h, scores, gt)
-    flat_s = scores.scores.reshape(-1, len(h))
-    flat_l = gt.leaf.reshape(-1)
+    flat_s, flat_l = field_rows(h, scores, gt)
     valid = flat_l != IGNORE
     n = int(np.count_nonzero(valid))
     grad = shared_zeros(flat_s.shape, np.float64)
     values = shared_zeros(flat_l.shape, np.float64)  # each at its own pixel
-    ran = page_dropper(flat_s)
 
     def work(rows: slice) -> None:
         ok = valid[rows]
@@ -318,8 +314,6 @@ def field_loss(
         v, g = batch_loss(h, flat_s[rows][ok], ids, which, cfg)
         values[rows][ok] = v
         grad[rows][ok] = g / n
-        ran(rows)
 
-    run_blocks(blocks, work)
-    ran()
+    run_blocks(h, flat_s, work)
     return float(values[valid].sum() / max(n, 1)), grad.reshape(scores.scores.shape)

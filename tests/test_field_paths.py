@@ -7,11 +7,12 @@ match them bit for bit on random trees with quantised (tied) scores, for
 float32 fields as read from files and for float64 fields, whatever share
 of the pixels is ignored. ``test_tree_dp`` bounds their peak RSS.
 
-The field paths split their blocks between forked ``run_blocks`` workers.
-The worker tests force the worker count through a patched CPU count, so
-they fork on a one-CPU machine too, and check that no child outlives a
-call. ``block_workers`` rounds with a ``first`` callable check that the
-children take the caller's blocks while it runs, and that errors and
+The field paths split the row blocks of their score rows between forked
+``run_blocks`` workers. The worker tests force the worker count through a
+patched CPU count, so they fork on a one-CPU machine too, and check that
+no child outlives a call. The tests of ``block_workers`` itself run one
+round on blocks of any kind; rounds with a ``first`` callable check that
+the children take the caller's blocks while it runs, and that errors and
 descriptors are handled as in a plain round.
 """
 
@@ -181,6 +182,16 @@ def test_field_pair_checked_before_reshaping(tiny, run):
         run(tiny, scores, labels)
 
 
+def test_field_pair_dimensions_checked(tiny):
+    """A 2x3 score field and a 3x2 label field hold as many pixels, so
+    only the dimension check tells them apart."""
+    scores = ScoreField(np.full((2, 3, 5), 0.5))
+    labels = LabelField(np.full((3, 2), 3, dtype=np.uint32))
+    for run in (propagate_field, lambda h, s, l: field_loss(h, s, l, "ftm")):
+        with pytest.raises(ValueError, match="^score and label fields have mismatched dimensions$"):
+            run(tiny, scores, labels)
+
+
 def test_score_field_keeps_float32_and_widens_other_dtypes():
     s = np.full((1, 2, 3), 0.25, dtype=np.float32)
     assert ScoreField(s).scores is s
@@ -262,9 +273,35 @@ def test_run_blocks_calls_work_once_on_each_block_itself(monkeypatch, cpus):
     def work(block):
         calls[index[id(block)]] += 1
 
-    run_blocks(blocks, work)
+    with block_workers(blocks, work) as run_round:
+        run_round()
     assert len(pids) == cpus - 1
     assert calls.tolist() == [1] * len(blocks)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_run_blocks_walks_the_row_blocks_of_its_scores(monkeypatch, cpus):
+    """``work`` gets each ``row_blocks(h, len(s))`` slice once, in a child
+    as in the caller. The 100 blocks, the last one short, are no multiple
+    of ``MIN_BLOCKS``, so the workers' ranges differ in length."""
+    h = load_taxonomy(os.path.join(TAX_DIR, "mapillary_vistas.tax"))
+    s = np.zeros((99 * (BLOCK_ELEMS // len(h)) + 5, len(h)), np.float32)
+    blocks = coherence.row_blocks(h, len(s))
+    assert len(blocks) == 100
+    index = {rows.start: i for i, rows in enumerate(blocks)}
+    got = shared_zeros((len(blocks), 2), np.int64)  # per block: calls, stop
+    use_cpus(monkeypatch, cpus)
+    pids = counted_forks(monkeypatch)
+
+    def work(rows):
+        i = index[rows.start]
+        got[i] = got[i, 0] + 1, rows.stop
+        assert rows.step is None
+
+    run_blocks(h, s, work)
+    assert len(pids) == cpus - 1
+    assert got.tolist() == [[1, rows.stop] for rows in blocks]
     assert_no_child_left()
 
 
@@ -278,7 +315,8 @@ def test_a_workers_exception_reaches_the_caller(monkeypatch):
             raise LookupError(f"range from block {block}")
 
     with pytest.raises(LookupError) as raised:
-        run_blocks(list(range(3 * MIN_BLOCKS)), work)
+        with block_workers(list(range(3 * MIN_BLOCKS)), work) as run_round:
+            run_round()
     assert type(raised.value) is LookupError
     assert str(raised.value) == f"range from block {MIN_BLOCKS}"
     assert_no_child_left()
@@ -341,7 +379,8 @@ def test_a_failure_in_the_callers_range_kills_its_workers(monkeypatch):
 
     start = time.monotonic()
     with pytest.raises(LookupError, match="the caller's range"):
-        run_blocks(list(range(3 * MIN_BLOCKS)), work)
+        with block_workers(list(range(3 * MIN_BLOCKS)), work) as run_round:
+            run_round()
     assert time.monotonic() - start < 30
     assert_no_child_left()
 

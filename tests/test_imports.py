@@ -1,7 +1,10 @@
 """Every name a library module imports is read somewhere in that module,
 only ``coherence.block_workers`` forks, exits or waits for a process,
 only ``fields._read_payload`` and ``coherence.shared_zeros`` map memory,
-and only ``fields.page_dropper`` drops pages with ``madvise``.
+and only ``fields.page_dropper`` drops pages with ``madvise``. Only
+``coherence.run_blocks`` and ``training.train`` read ``block_workers``,
+and only ``run_blocks`` and ``fields._check_unit_range`` read
+``page_dropper``.
 
 No linter ships with the project's toolchain, so this is the unused-import
 gate: ``__init__.py`` re-exports, and ``from __future__`` imports change the
@@ -221,3 +224,70 @@ def test_only_page_dropper_drops_pages(path):
 
 def test_page_dropper_is_where_the_page_drops_are():
     assert madvise_calls((SRC / "fields.py").read_text()) != []
+
+
+# Names that only some top-level functions may read. ``run_blocks`` is the
+# one walker of the field paths: it owns their row blocks, their worker
+# round and their page drops. ``train`` keeps its workers for every step
+# of a run, and the [0, 1] check drops the pages it has read. A field path
+# with its own round or page drops would bypass the walker.
+READERS = {
+    "page_dropper": {"fields.py": {"_check_unit_range"}, "coherence.py": {"run_blocks"}},
+    "block_workers": {"coherence.py": {"run_blocks"}, "training.py": {"train"}},
+}
+
+
+def name_reads(source: str, name: str) -> list[str]:
+    """Each use of ``name``, or of an alias it is imported as, and each
+    attribute ``name``, as ``"line N: <top-level name>"``."""
+    tree = ast.parse(source)
+    names = {name} | {
+        a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names if a.name == name and a.asname
+    }
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id in names) or (
+                    isinstance(node, ast.Attribute) and node.attr == name):
+                found.append((node.lineno, f"line {node.lineno}: {owner}"))
+    return [line for _, line in sorted(found)]
+
+
+def test_gate_sees_page_dropper_read_outside_its_functions():
+    source = (
+        "from .fields import page_dropper as pd\nfrom . import fields\n"
+        "def run_blocks(s):\n    ran = pd(s)\n"
+        "def other(s):\n    return fields.page_dropper(s)\n"
+        "ran = pd\n"
+    )
+    assert name_reads(source, "page_dropper") == [
+        "line 4: run_blocks", "line 6: other", "line 7: <module>",
+    ]
+
+
+def test_gate_sees_block_workers_read_outside_its_functions():
+    source = (
+        "from . import coherence\nfrom .coherence import block_workers\n"
+        "def train(blocks, work):\n    with block_workers(blocks, work) as run_round:\n"
+        "        run_round()\n"
+        "def decode(blocks, work):\n    with coherence.block_workers(blocks, work) as r:\n"
+        "        r()\n"
+    )
+    assert name_reads(source, "block_workers") == ["line 4: train", "line 7: decode"]
+
+
+@pytest.mark.parametrize("name", READERS)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_their_functions_read_the_walker_names(path, name):
+    allowed = READERS[name].get(path.name, set())
+    for line in name_reads(path.read_text(), name):
+        assert line.split()[2] in allowed, line
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_the_walker_names_are_read_in_their_functions(name):
+    found = {path.name: name_reads(path.read_text(), name) for path in MODULES}
+    owners = {file: {line.split()[2] for line in lines} for file, lines in found.items() if lines}
+    assert owners == READERS[name]

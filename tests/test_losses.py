@@ -69,6 +69,20 @@ class TestCCE:
         with pytest.raises(ValueError, match="logits"):
             cce_loss(tiny, np.zeros((2, len(tiny.leaves))), [3, 4])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_logits(self, tiny, bad):
+        logits = np.zeros((2, len(tiny)))
+        logits[1, 4] = bad
+        with pytest.raises(ValueError, match="^logits must be finite$"):
+            cce_loss(tiny, logits, [3, 4])
+
+    def test_no_rows_give_zero(self, tiny):
+        """+0.0, as ``field_loss`` gives with nothing to average, and an
+        empty gradient, with no warning."""
+        value, grad = cce_loss(tiny, np.zeros((0, len(tiny))), np.zeros(0, dtype=np.int64))
+        assert np.float64(value).tobytes() == np.float64(0.0).tobytes()
+        assert grad.shape == (0, len(tiny)) and grad.dtype == np.float64
+
     def test_gradcheck(self):
         assert gradcheck_loss("cce", trials=25, seed=11) < 1e-4
 

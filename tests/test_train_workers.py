@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from hiertax import coherence, training
-from hiertax.coherence import MIN_BLOCKS, row_blocks, run_blocks, shared_zeros
+from hiertax.coherence import MIN_BLOCKS, row_blocks, shared_zeros
 from hiertax.embedding import init_projection
 from hiertax.losses import LOSSES
 from hiertax.report import run_artifacts, write_report_files, write_run_json
@@ -216,7 +216,8 @@ def test_a_train_inside_a_worker_runs_serially(monkeypatch, three_level):
             got[...] = train(features, labels, three_level, cfg).scorer.weight
             forks[0] = len(pids) - before
 
-    run_blocks(list(range(2 * MIN_BLOCKS)), work)
+    with coherence.block_workers(list(range(2 * MIN_BLOCKS)), work) as run_round:
+        run_round()
     assert len(pids) == 1
     assert forks[0] == 0
     assert got.tobytes() == want.tobytes()
